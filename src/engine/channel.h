@@ -234,6 +234,16 @@ class Channel {
     return queue_.size();
   }
 
+  /// Sums `weight(item)` over the queued items (e.g. the rows a closed
+  /// channel holds, which a phased stage counts before it starts).
+  template <typename Weight>
+  size_t QueuedWeight(Weight weight) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t total = 0;
+    for (const T& item : queue_) total += weight(item);
+    return total;
+  }
+
   ChannelStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;

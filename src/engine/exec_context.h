@@ -1,4 +1,4 @@
-// ExecContext: the Executor concept both schedulers program against.
+// ExecContext: the Executor concept the engine's scheduler programs against.
 //
 // A context is a (pool, tag) pair — *where* work runs plus *how it is
 // scheduled* (flow deadline, predicted cost, blocking class). The engine's
@@ -8,8 +8,8 @@
 //   Post        — queue for asynchronous execution (never inline)
 //   Dispatch    — run inline when already on a pool worker, else post
 //   BulkExecute — fan a counted loop out as CPU tasks and help-wait until
-//                 every iteration completes (the phased scheduler's
-//                 partition fan-out)
+//                 every iteration completes (phased dispatch's partition
+//                 fan-out)
 //
 // The tag travels with every submission, so a FlowService can stamp one
 // deadline on a flow's context and have every partition branch, streaming

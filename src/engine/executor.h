@@ -25,6 +25,14 @@
 // consuming the attempt budget. With redundancy k > 1, k identical
 // instances race and a majority vote over the output accepts a result;
 // instance failures kill only that instance.
+//
+// Scheduling. There is one scheduler: every attempt wires one stage per
+// ExecutionPlan node and one channel per edge (engine/streaming.h), with
+// two dispatch policies. Phased (the default) runs the stages section by
+// section over unbounded channels — extract, transform and load are
+// exclusive phases, and a unit's partition branches run as CPU tasks of
+// the flow's pool. Streaming (`ExecutionConfig::streaming`) pipelines
+// them as concurrent stages over bounded channels.
 
 #ifndef QOX_ENGINE_EXECUTOR_H_
 #define QOX_ENGINE_EXECUTOR_H_
@@ -124,16 +132,17 @@ struct ExecutionConfig {
   /// cuts. With redundancy == 1 the load runs inline as the dataflow sink
   /// (a failed load consumes a flow attempt and the next attempt skips
   /// rows already durable in the target). Output and metrics semantics
-  /// match phased mode; phase timings become per-stage busy-time
-  /// aggregates (stages overlap, so they no longer sum to total).
+  /// match phased dispatch of the same stage graph; phase timings become
+  /// per-stage busy-time aggregates (stages overlap, so they no longer sum
+  /// to total).
   bool streaming = false;
   /// Bounded capacity, in batches, of every streaming channel (the
   /// backpressure window between adjacent stages). Values < 1 act as 1.
   size_t channel_capacity = 8;
   /// Row-level containment policy per transform op (by global index).
   /// Empty, or shorter than the chain, means kFailFast for the uncovered
-  /// ops — the historical all-or-nothing behaviour. Both schedulers
-  /// enforce identical semantics (containment lives in the shared
+  /// ops — the historical all-or-nothing behaviour. Both dispatch
+  /// policies enforce identical semantics (containment lives in the shared
   /// Pipeline).
   std::vector<ErrorPolicy> error_policies;
   /// Flow-level ceiling on contained rows. Exceeding it aborts the run
@@ -182,7 +191,7 @@ struct ExecutionConfig {
   /// columnar-capable transform ops execute on ColumnBatches with
   /// vectorized kernels; the row path remains for everything else. Output
   /// is byte-identical with the flag off (the default, the seed behavior);
-  /// both schedulers honor it (the fast path lives in the shared
+  /// both dispatch policies honor it (the fast path lives in the shared
   /// Pipeline).
   bool columnar = false;
 };
@@ -196,7 +205,7 @@ class Executor {
   /// Runs the flow to completion (including retries / voting). On success
   /// the target contains the flow output and metrics describe the run.
   /// Internally: validate (BindChain), lower to an ExecutionPlan, then
-  /// dispatch the plan to the phased or streaming scheduler.
+  /// run the plan's stage graph under phased or pipelined dispatch.
   static Result<RunMetrics> Run(const FlowSpec& flow,
                                 const ExecutionConfig& config);
 

@@ -8,11 +8,10 @@
 // with channel edges and barrier/section annotations. One plan serves
 // every consumer:
 //
-//   * the PHASED executor schedules it section by section ("run the
-//     section's units in order, materialize at the recovery-point barrier
-//     ending it"),
-//   * the STREAMING executor spawns one stage thread per node and wires a
-//     bounded channel per edge,
+//   * the EXECUTOR runs one stage per node and one channel per edge, under
+//     one of two dispatch policies: PHASED (section by section over
+//     unbounded channels — a stage starts once its inputs closed) or
+//     PIPELINED (streaming mode: concurrent stages over bounded channels),
 //   * the COST MODEL prices streaming overlap from the plan's drain
 //     structure (CostChunks) and recovery cost from the plan's RP cuts,
 //   * plan_io exports/imports the node/edge structure as XML metadata,
@@ -20,17 +19,17 @@
 //
 // Having exactly one place that answers "where are the barriers, how does
 // the chain split into units, what runs concurrently" is what keeps the
-// two execution modes and the model's predictions mutually consistent —
+// two dispatch policies and the model's predictions mutually consistent —
 // and is the seam future multi-process sharding plugs into (a shard is a
 // subgraph cut along channel edges).
 //
 // Terminology. The transform chain of n operators defines CUT positions
 // 0..n (cut 0 = after extraction, cut i = after op i). A recovery point
-// at a cut is a HARD barrier: both executors fully materialize there and
-// persist the rows. A blocking operator (sort/group/delta) is a SOFT
-// barrier: execution does not split there (the operator buffers inside
-// its pipeline stage), but the streaming dataflow drains there, which is
-// what the cost model's overlap law needs. Sections split at hard
+// at a cut is a HARD barrier: both dispatch policies fully materialize
+// there and persist the rows. A blocking operator (sort/group/delta) is a
+// SOFT barrier: execution does not split there (the operator buffers
+// inside its pipeline stage), but the pipelined dataflow drains there,
+// which is what the cost model's overlap law needs. Sections split at hard
 // barriers; CostChunks split at both.
 
 #ifndef QOX_ENGINE_PLAN_H_
@@ -164,9 +163,9 @@ struct PlanUnit {
   std::vector<size_t> branches;
 };
 
-/// A run of ops between hard (recovery-point) barriers. The phased
-/// executor runs sections in order, materializing and persisting at each
-/// rp_at_end; the streaming executor inserts a kRpBarrier stage there.
+/// A run of ops between hard (recovery-point) barriers. A kRpBarrier stage
+/// at each rp_at_end materializes and persists the cut; phased dispatch
+/// runs the sections one after another.
 struct PlanSection {
   size_t begin_cut = 0;  ///< ops [begin_cut, end_cut)
   size_t end_cut = 0;
@@ -220,8 +219,9 @@ class ExecutionPlan {
   size_t collect_node() const { return collect_node_; }
   size_t replica_group_node() const { return replica_group_node_; }
   size_t load_node() const { return load_node_; }
-  /// The dataflow's terminal per-instance stage: kLoad for inline-load
-  /// plans (streaming, redundancy 1), else kCollect feeding the voter.
+  /// The dataflow's terminal per-instance node: kCollect feeding the voter
+  /// when redundant, else kLoad (inline in streaming mode; phased runs
+  /// collect into LoadWithRetry under this node's id).
   size_t sink_node() const {
     return collect_node_ != kNoNode ? collect_node_ : load_node_;
   }

@@ -53,11 +53,12 @@ struct ParallelUnitStats {
   int64_t merge_micros = 0;
 };
 
-/// Accounting of one stage of a streaming (pipelined) execution: a thread
-/// running extract, a transform pipeline, a partition branch, a merge, a
-/// recovery-point barrier, or the load, connected to its neighbors by
-/// bounded channels. busy + stall + backpressure ≈ the stage's wall time;
-/// the stall/backpressure split shows which neighbor was the bottleneck.
+/// Accounting of one stage of a flow's dataflow: extract, a transform
+/// pipeline, a partition router, branch or merge, a recovery-point
+/// barrier, or the sink (collect or load), connected to its neighbors by
+/// channels. busy + stall + backpressure ≈ the stage's wall time; the
+/// stall/backpressure split shows which neighbor was the bottleneck
+/// (phased stages never wait: busy is their wall time).
 struct StageStats {
   std::string name;                ///< "extract", "transform[0,3)", "load", ...
   /// Id of the ExecutionPlan node this stage executed (see engine/plan.h),
@@ -189,9 +190,10 @@ struct RunMetrics {
   bool streaming = false;  ///< ran in streaming (pipelined) mode
 
   std::vector<OpStats> op_stats;
-  /// One entry per executed parallel unit (across attempts).
+  /// Phased dispatch only: one entry per executed parallel unit (across
+  /// attempts).
   std::vector<ParallelUnitStats> parallel_units;
-  /// Streaming mode only: one entry per dataflow stage (across attempts).
+  /// One entry per dataflow stage (across attempts).
   std::vector<StageStats> stage_stats;
   /// Sharded CDC ingestion only: one entry per shard worker, in shard
   /// order (empty for ordinary flow runs).

@@ -1,5 +1,7 @@
 #include "engine/streaming.h"
 
+#include <cstdint>
+
 #include "common/clock.h"
 
 namespace qox {
@@ -60,8 +62,8 @@ bool StageSet::IsPoisonEcho(const Status& status) {
          status.message().rfind(kPoisonEchoPrefix, 0) == 0;
 }
 
-StageSet::StageSet(const ExecContext& ctx)
-    : ctx_(ctx), group_(ctx.pool()) {}
+StageSet::StageSet(const ExecContext& ctx, StageDispatch dispatch)
+    : ctx_(ctx), dispatch_(dispatch), group_(ctx.pool()) {}
 
 StageSet::~StageSet() {
   if (joined_) return;
@@ -72,57 +74,82 @@ StageSet::~StageSet() {
 }
 
 BatchChannelPtr StageSet::MakeChannel(size_t capacity) {
-  auto channel = std::make_shared<BatchChannel>(capacity);
+  auto channel = std::make_shared<BatchChannel>(
+      dispatch_ == StageDispatch::kPhased ? SIZE_MAX : capacity);
   std::lock_guard<std::mutex> lock(mu_);
   if (!first_failure_.ok()) channel->Poison(PoisonEcho(first_failure_));
   channels_.push_back(channel);
   return channel;
 }
 
-void StageSet::Spawn(std::string name, std::function<Status(StageStats*)> body) {
-  size_t slot;
+size_t StageSet::AddSlot(std::string name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  outcomes_.emplace_back();
+  outcomes_.back().stats.name = std::move(name);
+  return outcomes_.size() - 1;
+}
+
+void StageSet::RunStage(size_t slot, int64_t posted_micros, const Body& body) {
+  StageStats local;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot = outcomes_.size();
-    outcomes_.emplace_back();
-    outcomes_[slot].stats.name = std::move(name);
+    local.name = outcomes_[slot].stats.name;
   }
+  // Under a shared pool a stage may sit queued behind other flows' work
+  // before a worker picks it up; that wait belongs to scheduling, not to
+  // the stage's busy time.
+  local.queue_wait_us = NowMicros() - posted_micros;
+  StopWatch watch;
+  Status status = body(&local);
+  const int64_t wall = watch.ElapsedMicros();
+  local.busy_micros = wall - local.stall_micros - local.backpressure_micros;
+  if (local.busy_micros < 0) local.busy_micros = 0;
+  if (ctx_.tag().deadline_micros > 0) {
+    local.deadline_slack_us = ctx_.tag().deadline_micros - NowMicros();
+  }
+  bool primary = false;
+  if (!status.ok()) {
+    // A stage that failed on its own is primary; one that merely returned
+    // the tagged poison it popped from a channel is an echo. The explicit
+    // tag (not message comparison) keeps two independent failures with
+    // identical messages both classified as primary.
+    primary = !IsPoisonEcho(status);
+    FailAll(status);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  outcomes_[slot].status = std::move(status);
+  outcomes_[slot].stats = std::move(local);
+  outcomes_[slot].primary = primary;
+}
+
+void StageSet::Spawn(std::string name, Body body) {
+  const size_t slot = AddSlot(std::move(name));
   const int64_t posted_micros = NowMicros();
+  if (dispatch_ == StageDispatch::kPhased) {
+    RunStage(slot, posted_micros, body);
+    return;
+  }
   ctx_.Post(
       [this, slot, posted_micros, body = std::move(body)] {
-        StageStats local;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          local.name = outcomes_[slot].stats.name;
-        }
-        // Under a shared pool a stage may sit queued behind other flows'
-        // work before an expansion worker picks it up; that wait belongs
-        // to scheduling, not to the stage's busy time.
-        local.queue_wait_us = NowMicros() - posted_micros;
-        StopWatch watch;
-        Status status = body(&local);
-        const int64_t wall = watch.ElapsedMicros();
-        local.busy_micros =
-            wall - local.stall_micros - local.backpressure_micros;
-        if (local.busy_micros < 0) local.busy_micros = 0;
-        if (ctx_.tag().deadline_micros > 0) {
-          local.deadline_slack_us = ctx_.tag().deadline_micros - NowMicros();
-        }
-        bool primary = false;
-        if (!status.ok()) {
-          // A stage that failed on its own is primary; one that merely
-          // returned the tagged poison it popped from a channel is an echo.
-          // The explicit tag (not message comparison) keeps two independent
-          // failures with identical messages both classified as primary.
-          primary = !IsPoisonEcho(status);
-          FailAll(status);
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        outcomes_[slot].status = std::move(status);
-        outcomes_[slot].stats = std::move(local);
-        outcomes_[slot].primary = primary;
+        RunStage(slot, posted_micros, body);
       },
       &group_, /*blocking=*/true);
+}
+
+void StageSet::SpawnGroup(std::vector<Stage> stages) {
+  if (dispatch_ == StageDispatch::kPipelined) {
+    for (Stage& stage : stages) {
+      Spawn(std::move(stage.name), std::move(stage.body));
+    }
+    return;
+  }
+  std::vector<size_t> slots;
+  slots.reserve(stages.size());
+  for (Stage& stage : stages) slots.push_back(AddSlot(std::move(stage.name)));
+  const int64_t posted_micros = NowMicros();
+  ctx_.BulkExecute(stages.size(), [&](size_t i) {
+    RunStage(slots[i], posted_micros, stages[i].body);
+  });
 }
 
 void StageSet::FailAll(const Status& status) {

@@ -1,4 +1,4 @@
-// WorkerPool: the unified executor substrate both schedulers run on.
+// WorkerPool: the unified executor substrate every flow runs on.
 //
 // One pool multiplexes every kind of engine work — phased partition
 // branches, redundant flow instances, streaming dataflow stages, and whole

@@ -601,5 +601,79 @@ TEST_F(CdcSweepTest, EmptyStreamCommitsAnEmptyWarehouse) {
   EXPECT_EQ(report.value().slices_applied, 1u);
 }
 
+TEST_F(CdcSweepTest, SliceSizeLeavesTheWarehouseUnchanged) {
+  // However the stream is cut into slices, every loadable update lands
+  // exactly once and the folded warehouse state is the same.
+  const CdcStreamSpec stream = TestStream(4242);
+  std::vector<Row> reference;
+  for (const size_t slice_events : {16, 48, 160}) {
+    CdcOptions options;
+    options.scratch_dir = root_ + "/slice" + std::to_string(slice_events);
+    options.stream = stream;
+    options.topology.shards = 2;
+    options.topology.slice_events = slice_events;
+    options.supervised = false;
+    const Result<CdcReport> report = CdcCoordinator::Run(options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().slices,
+              (stream.total_events + slice_events - 1) / slice_events);
+    EXPECT_EQ(report.value().wal_rows, CountLoadableEvents(stream));
+    const Schema schema = CdcCoordinator::StagedSchema(options).value();
+    const std::vector<Row> state =
+        CdcWarehouseState(report.value().warehouse_path, schema).value();
+    if (reference.empty()) {
+      reference = state;
+      EXPECT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(state, reference) << "slice_events=" << slice_events;
+    }
+  }
+}
+
+TEST_F(CdcSweepTest, FinerSlicesLoadMoreOftenAndTimeEveryLoad) {
+  // Smaller slices trade more executions for fresher data: each slice is
+  // one timed load, so the latency record grows with the slice count.
+  size_t previous_slices = 0;
+  for (const size_t slice_events : {160, 40, 10}) {
+    CdcOptions options;
+    options.scratch_dir = root_ + "/fine" + std::to_string(slice_events);
+    options.stream = TestStream(77);
+    options.topology.shards = 2;
+    options.topology.slice_events = slice_events;
+    options.supervised = false;
+    const Result<CdcReport> report = CdcCoordinator::Run(options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_GT(report.value().slices, previous_slices);
+    EXPECT_EQ(report.value().slices_applied, report.value().slices);
+    ASSERT_EQ(report.value().slice_latency_micros.size(),
+              report.value().slices);
+    for (const int64_t micros : report.value().slice_latency_micros) {
+      EXPECT_GT(micros, 0);
+    }
+    previous_slices = report.value().slices;
+  }
+}
+
+TEST_F(CdcSweepTest, RejectsInvalidOptions) {
+  CdcOptions valid;
+  valid.scratch_dir = root_ + "/invalid";
+  valid.stream = TestStream(5);
+  valid.supervised = false;
+  std::vector<CdcOptions> invalid(5, valid);
+  invalid[0].scratch_dir.clear();
+  invalid[1].topology.shards = 0;
+  invalid[2].topology.slice_events = 0;
+  invalid[3].batch_size = 0;
+  const Schema no_label({{"cat_key", DataType::kString, false}});
+  invalid[4].dimension = std::make_shared<MemTable>("dim", no_label);
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    const Result<CdcReport> report = CdcCoordinator::Run(invalid[i]);
+    ASSERT_FALSE(report.ok()) << "case " << i;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+  EXPECT_TRUE(CdcCoordinator::Run(valid).ok());
+}
+
 }  // namespace
 }  // namespace qox

@@ -2,17 +2,22 @@
 // equivalence (concurrent service runs byte-identical to solo phased AND
 // solo streaming execution), observable EDF dispatch ordering, the
 // admission-control reject path, cross-flow failure isolation, and the
-// queue-wait / deadline-slack attribution in RunMetrics.
+// queue-wait / deadline-slack attribution in RunMetrics. The one-lane EDF
+// window tests gate the lane until a whole window is queued, so they pin
+// dispatch order, back-to-back execution, tie-breaking and met/missed
+// deadlines deterministically.
 
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "engine/flow_service.h"
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
@@ -368,6 +373,246 @@ TEST(FlowServiceTest, SoloRunStillStampsDeadlineSlack) {
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_GT(metrics.value().deadline_slack_micros, 0);
   EXPECT_EQ(metrics.value().queue_wait_micros, 0);  // no service, no queue
+}
+
+// ---------------------------------------------------------------------------
+// One-lane EDF windows. A gate flow holds the service's only lane until
+// every flow of the window is queued, so dispatch order is decided by the
+// queue policy alone, not by submission races.
+// ---------------------------------------------------------------------------
+
+/// A no-op flow whose commit waits for `opened`.
+FlowSubmission WindowGate(std::shared_future<void> opened) {
+  const Schema schema({{"tick", DataType::kInt64, false}});
+  FlowSubmission gate;
+  gate.flow.id = "window_gate";
+  gate.flow.source = std::make_shared<MemTable>("gate_in", schema);
+  gate.flow.target = std::make_shared<MemTable>("gate_out", schema);
+  gate.flow.post_success = [opened] {
+    opened.wait();
+    return Status::OK();
+  };
+  return gate;
+}
+
+/// A one-lane EDF service plus a ledger of when each flow's driver was
+/// inside Executor::Run: `started` at the first transform instantiation,
+/// `finished` at commit.
+class OneLaneWindow {
+ public:
+  explicit OneLaneWindow(bool admit_only_feasible = false)
+      : service_([admit_only_feasible] {
+          FlowServiceConfig config;
+          config.num_workers = 1;
+          config.max_concurrent_flows = 1;
+          config.policy = QueuePolicy::kEdf;
+          config.admit_only_feasible = admit_only_feasible;
+          return config;
+        }()) {
+    gate_ = service_.Submit(WindowGate(open_.get_future().share())).value();
+  }
+
+  /// Queues a flow of `rows` rows; `sla` fills its ExecutionConfig::sla.
+  Result<uint64_t> Submit(const std::string& id, size_t rows, FlowSla sla,
+                          int64_t predicted_micros = 0) {
+    FlowSubmission submission;
+    submission.flow = MakeFlow(
+        id, testing_util::MakeSource(SimpleSchema(), SimpleRows(rows)),
+        std::make_shared<MemTable>("tgt", BoundSchema()));
+    const OperatorFactory first = submission.flow.transforms.front();
+    submission.flow.transforms.front() = [this, id, first]() {
+      std::lock_guard<std::mutex> lock(mu_);
+      started_.emplace(id, NowMicros());  // first instantiation wins
+      return first();
+    };
+    submission.flow.post_success = [this, id]() -> Status {
+      std::lock_guard<std::mutex> lock(mu_);
+      finished_[id] = NowMicros();
+      order_.push_back(id);
+      return Status::OK();
+    };
+    submission.config.sla = sla;
+    submission.predicted_micros = predicted_micros;
+    return service_.Submit(std::move(submission));
+  }
+
+  /// Releases the gate: the queued window starts draining.
+  void Open() {
+    open_.set_value();
+    ASSERT_TRUE(service_.Wait(gate_).ok());
+  }
+
+  FlowService& service() { return service_; }
+  std::vector<std::string> order() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
+  int64_t started(const std::string& id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_.at(id);
+  }
+  int64_t finished(const std::string& id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return finished_.at(id);
+  }
+
+ private:
+  FlowService service_;
+  std::promise<void> open_;
+  uint64_t gate_ = 0;
+  std::mutex mu_;
+  std::map<std::string, int64_t> started_;
+  std::map<std::string, int64_t> finished_;
+  std::vector<std::string> order_;
+};
+
+FlowSla RelativeDeadline(double seconds) {
+  FlowSla sla;
+  sla.deadline_micros = static_cast<int64_t>(seconds * 1e6);
+  return sla;
+}
+
+TEST(FlowServiceTest, EdfOrdersGatedWindowByDeadline) {
+  OneLaneWindow window;
+  const uint64_t late = window.Submit("late", 200, RelativeDeadline(100))
+                            .value();
+  const uint64_t urgent =
+      window.Submit("urgent", 200, RelativeDeadline(20)).value();
+  const uint64_t mid = window.Submit("mid", 200, RelativeDeadline(50)).value();
+  window.Open();
+  for (const uint64_t t : {late, urgent, mid}) {
+    ASSERT_TRUE(window.service().Wait(t).ok());
+  }
+  EXPECT_EQ(window.order(),
+            (std::vector<std::string>{"urgent", "mid", "late"}));
+}
+
+TEST(FlowServiceTest, OneLaneRunsQueuedFlowsBackToBack) {
+  // One lane: each flow's run starts only after the previous one
+  // committed, and its slack is charged for the time it spent queued.
+  OneLaneWindow window;
+  const std::vector<std::string> ids = {"a", "b", "c"};
+  std::vector<uint64_t> tickets;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    tickets.push_back(window.Submit(ids[i], 1500,
+                                    RelativeDeadline(600.0 * (i + 1)))
+                          .value());
+  }
+  window.Open();
+  std::vector<RunMetrics> metrics;
+  for (const uint64_t t : tickets) {
+    Result<RunMetrics> m = window.service().Wait(t);
+    ASSERT_TRUE(m.ok()) << m.status();
+    metrics.push_back(m.TakeValue());
+  }
+  ASSERT_EQ(window.order(), ids);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_LE(window.started(ids[i]), window.finished(ids[i]));
+    if (i > 0) {
+      EXPECT_GE(window.started(ids[i]), window.finished(ids[i - 1]))
+          << ids[i] << " overlapped " << ids[i - 1] << " on one lane";
+    }
+    EXPECT_GT(metrics[i].deadline_slack_micros, 0);
+    EXPECT_LE(metrics[i].deadline_slack_micros,
+              static_cast<int64_t>(600e6 * (i + 1)) -
+                  metrics[i].queue_wait_micros - metrics[i].total_micros);
+  }
+}
+
+TEST(FlowServiceTest, AdmissionControlDetectsInfeasibleSetInEitherOrder) {
+  // Two flows of 4s predicted work each on one worker, due at 5s and 7s:
+  // no order meets both (EDF is optimal, and it cannot). Whichever is
+  // submitted second is rejected; the first stays admitted.
+  for (const bool tight_first : {true, false}) {
+    OneLaneWindow window(/*admit_only_feasible=*/true);
+    const auto submit_tight = [&] {
+      return window.Submit("tight", 10, RelativeDeadline(5), 4000000);
+    };
+    const auto submit_loose = [&] {
+      return window.Submit("loose", 10, RelativeDeadline(7), 4000000);
+    };
+    const Result<uint64_t> first = tight_first ? submit_tight()
+                                               : submit_loose();
+    const Result<uint64_t> second = tight_first ? submit_loose()
+                                                : submit_tight();
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+    window.Open();
+    ASSERT_TRUE(window.service().Wait(first.value()).ok());
+    EXPECT_EQ(window.service().stats().rejected, 1u);
+  }
+}
+
+TEST(FlowServiceTest, EdfBreaksDeadlineTiesInSubmissionOrder) {
+  OneLaneWindow window;
+  FlowSla sla;
+  sla.absolute_deadline_micros = NowMicros() + 600000000;  // identical
+  std::vector<uint64_t> tickets;
+  for (const char* id : {"zz", "aa", "mm"}) {
+    tickets.push_back(window.Submit(id, 50, sla).value());
+  }
+  window.Open();
+  for (const uint64_t t : tickets) ASSERT_TRUE(window.service().Wait(t).ok());
+  EXPECT_EQ(window.order(), (std::vector<std::string>{"zz", "aa", "mm"}));
+}
+
+TEST(FlowServiceTest, EdfWindowMeetsEveryFeasibleDeadline) {
+  OneLaneWindow window;
+  const uint64_t slow =
+      window.Submit("slow_deadline", 500, RelativeDeadline(300)).value();
+  const uint64_t tight =
+      window.Submit("tight_deadline", 500, RelativeDeadline(60)).value();
+  window.Open();
+  for (const uint64_t t : {tight, slow}) {
+    const Result<RunMetrics> metrics = window.service().Wait(t);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_GT(metrics.value().rows_loaded, 0u);
+    EXPECT_GT(metrics.value().deadline_slack_micros, 0);
+  }
+  EXPECT_EQ(window.order().front(), "tight_deadline");
+  EXPECT_EQ(window.service().stats().deadline_hits, 2u);
+  EXPECT_EQ(window.service().stats().deadline_misses, 0u);
+}
+
+TEST(FlowServiceTest, ReportsMissedDeadlineAsNegativeSlack) {
+  // A deadline no run can meet: the flow still completes and loads, and
+  // the miss shows as negative slack and in the service counters.
+  OneLaneWindow window;
+  FlowSla sla;
+  sla.deadline_micros = 1;
+  const uint64_t ticket = window.Submit("impossible", 2000, sla).value();
+  window.Open();
+  const Result<RunMetrics> metrics = window.service().Wait(ticket);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_GT(metrics.value().rows_loaded, 0u);
+  EXPECT_LT(metrics.value().deadline_slack_micros, 0);
+  EXPECT_EQ(window.service().stats().deadline_hits, 0u);
+  EXPECT_EQ(window.service().stats().deadline_misses, 1u);
+}
+
+TEST(FlowServiceTest, MalformedFlowFailsOnlyItsTicket) {
+  FlowService service(FlowServiceConfig{});
+  FlowSubmission broken;
+  broken.flow.id = "broken";  // no source, no target
+  broken.config.sla.deadline_micros = 10000000;
+  const Result<uint64_t> broken_ticket = service.Submit(std::move(broken));
+  ASSERT_TRUE(broken_ticket.ok()) << broken_ticket.status();
+
+  FlowSubmission healthy;
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(100));
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  healthy.flow = MakeFlow("healthy", source, target);
+  const Result<uint64_t> healthy_ticket = service.Submit(std::move(healthy));
+  ASSERT_TRUE(healthy_ticket.ok()) << healthy_ticket.status();
+
+  const Result<RunMetrics> failed = service.Wait(broken_ticket.value());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(service.Wait(healthy_ticket.value()).ok());
+  EXPECT_EQ(RunSolo(source, ExecutionConfig{}),
+            target->ReadAll().value().rows());
 }
 
 }  // namespace

@@ -168,5 +168,34 @@ TEST(ParallelExecutionTest, MorePartitionsThanRows) {
   EXPECT_EQ(target->NumRows().value(), 3u);
 }
 
+TEST(ParallelExecutionTest, PhasedDispatchStaysOnCoreLane) {
+  // Phased partition branches are CPU tasks of the pool: no stage parks a
+  // blocking-lane worker, and the unit reports one timing per partition.
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(2048));
+  ExecutionConfig config;
+  config.parallel.partitions = 4;
+  WorkerPool phased_pool(2);
+  config.worker_pool = &phased_pool;
+  auto phased_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  const Result<RunMetrics> phased =
+      Executor::Run(MakeFlow(source, phased_target), config);
+  ASSERT_TRUE(phased.ok()) << phased.status();
+  EXPECT_EQ(phased_pool.stats().blocking_run, 0u);
+  EXPECT_EQ(phased_pool.stats().expansion_threads, 0u);
+  ASSERT_EQ(phased.value().parallel_units.size(), 1u);
+  EXPECT_EQ(phased.value().parallel_units[0].partition_micros.size(), 4u);
+
+  // The same plan under pipelined dispatch runs its stages as blocking
+  // tasks.
+  WorkerPool streaming_pool(2);
+  config.worker_pool = &streaming_pool;
+  config.streaming = true;
+  auto streaming_target = std::make_shared<MemTable>("tgt", BoundSchema());
+  ASSERT_TRUE(
+      Executor::Run(MakeFlow(source, streaming_target), config).ok());
+  EXPECT_GT(streaming_pool.stats().blocking_run, 0u);
+}
+
 }  // namespace
 }  // namespace qox

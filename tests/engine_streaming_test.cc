@@ -525,5 +525,32 @@ TEST(StreamingExecutorTest, EmptySourceProducesEmptyTarget) {
   EXPECT_EQ(target->NumRows().value(), 0u);
 }
 
+// A journaled load baseline above the target's row count (a truncated
+// target, or a stale baseline) must not hide rows: none of the target's
+// rows can be this flow's, so the sink skips nothing and loads everything.
+class LoadBaseAboveTargetTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LoadBaseAboveTargetTest, LoadsEveryRow) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(100));
+  const std::vector<Row> expected = RunPhased(source);
+  ASSERT_FALSE(expected.empty());
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  ExecutionConfig config;
+  config.streaming = GetParam();
+  config.resume.has_load_base = true;
+  config.resume.load_base_rows = 5;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().rows_loaded, expected.size());
+  EXPECT_EQ(target->ReadAll().value().rows(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LoadBaseAboveTargetTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streaming" : "Phased";
+                         });
+
 }  // namespace
 }  // namespace qox
