@@ -1,9 +1,11 @@
 // Transform throughput: columnar fast path vs row-at-a-time kernels.
 //
 // Runs two flows of the Fig. 3 scenario for real with in-memory sources
-// (so the transform segment, not extraction, is the subject) under
-// ExecutionConfig::columnar off and on, across batch sizes and worker
-// counts, and reports rows/sec of the transform phase for each combination:
+// (so the transform segment, not extraction, is the subject) as the engine
+// runs them (columnar wherever an op has a kernel) and as their row-kernel
+// baseline (every factory wrapped in testing_util::RowOnly, the decorator
+// the tests use), across batch sizes and worker counts, and reports
+// rows/sec of the transform phase for each combination:
 //
 //   * click_top (S3 -> Flt -> Func -> SK -> DW3): the whole chain is
 //     per-row and columnar-capable, so the entire transform segment runs
@@ -27,6 +29,7 @@
 
 #include "core/sales_workflow.h"
 #include "engine/executor.h"
+#include "row_only.h"
 
 namespace qox {
 namespace {
@@ -40,7 +43,7 @@ struct Sweep {
   int repeats = kRepeats;
 };
 
-ExecutionConfig MakeConfig(size_t batch_size, size_t workers, bool columnar,
+ExecutionConfig MakeConfig(size_t batch_size, size_t workers,
                            bool has_delta) {
   ExecutionConfig config;
   config.batch_size = batch_size;
@@ -50,7 +53,6 @@ ExecutionConfig MakeConfig(size_t batch_size, size_t workers, bool columnar,
     // The Δ serializes on the shared snapshot: partition the chain behind it.
     if (has_delta) config.parallel.range_begin = 1;
   }
-  config.columnar = columnar;
   return config;
 }
 
@@ -72,9 +74,10 @@ Sample Measure(SalesScenario* scenario, const LogicalFlow& flow,
   Sample best;
   for (int repeat = 0; repeat < repeats; ++repeat) {
     if (!scenario->ResetWarehouse().ok()) return best;
-    const Result<RunMetrics> metrics = Executor::Run(
-        flow.ToFlowSpec(), MakeConfig(batch_size, workers, columnar,
-                                      has_delta));
+    FlowSpec spec = flow.ToFlowSpec();
+    if (!columnar) spec = testing_util::RowOnly(std::move(spec));
+    const Result<RunMetrics> metrics =
+        Executor::Run(spec, MakeConfig(batch_size, workers, has_delta));
     if (!metrics.ok()) {
       std::cerr << "perf_transform run failed (flow=" << flow.id()
                 << " batch=" << batch_size << " workers=" << workers
@@ -147,6 +150,12 @@ int RunBench(const Sweep& sweep) {
         }
         if (col_mode.columnar_batches == 0) {
           std::cerr << "fast path never engaged: flow=" << flow.id()
+                    << " batch=" << batch_size << " workers=" << workers
+                    << "\n";
+          ++failures;
+        }
+        if (row_mode.columnar_batches != 0) {
+          std::cerr << "row baseline ran columnar: flow=" << flow.id()
                     << " batch=" << batch_size << " workers=" << workers
                     << "\n";
           ++failures;

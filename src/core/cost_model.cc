@@ -198,12 +198,6 @@ PhaseEstimate CostModel::EstimatePhases(const PhysicalDesign& design,
   for (size_t i = 0; i < ops.size(); ++i) {
     double op_s = ops[i].cost_per_row * rows[i] *
                   params_.transform_ns_per_unit / 1e9;
-    // Columnar fast path: per-row (non-blocking) ops run vectorized.
-    if (design.columnar && !ops[i].blocking &&
-        ops[i].op_class == OpClass::kPerRow &&
-        params_.columnar_speedup > 1.0) {
-      op_s /= params_.columnar_speedup;
-    }
     if (parallel && i >= rb && i < re) op_s /= speedup;
     op_seconds[i] = op_s;
     est.transform_s += op_s;

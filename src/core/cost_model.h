@@ -12,7 +12,9 @@
 // measured run):
 //   extraction      rows * extract_ns (sequential: source scan + decode)
 //   transformation  sum over ops of cost_per_row * rows_in * unit_ns,
-//                   volume shrinking by selectivity; ops inside the
+//                   volume shrinking by selectivity (unit_ns is the rate
+//                   of the kernels that run: columnar wherever an op has
+//                   one, so Calibrate measures it); ops inside the
 //                   parallel range divide by an Amdahl-style effective
 //                   speedup min(partitions, threads) * efficiency, plus
 //                   split and ordered-merge overhead at range borders
@@ -102,11 +104,6 @@ struct CostModelParams {
   /// on the working-set overflow of every blocking op when the design sets
   /// a finite memory_budget_bytes.
   double spill_ns_per_byte = 30.0;
-  /// Columnar fast-path throughput multiplier on per-row (non-blocking)
-  /// transform ops when the design sets `columnar` (the vectorized-kernel
-  /// speedup bench/perf_transform measures; 1.0 would price the flag as
-  /// free).
-  double columnar_speedup = 2.5;
 };
 
 /// Workload context a prediction is made for.

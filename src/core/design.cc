@@ -242,7 +242,6 @@ ExecutionConfig PhysicalDesign::ToExecutionConfig(
   config.error_budget = error_budget;
   config.memory_budget_bytes = memory_budget_bytes;
   config.resource_policy = resource_policy;
-  config.columnar = columnar;
   if (sla_deadline_s > 0.0) {
     config.sla.deadline_micros = static_cast<int64_t>(sla_deadline_s * 1e6);
   }
@@ -284,7 +283,6 @@ std::string PhysicalDesign::ConfigTag() const {
   }
   if (!error_budget.unlimited()) oss << "+EB";
   if (memory_budget_bytes > 0) oss << "+M";
-  if (columnar) oss << "+C";
   if (cdc_shards > 0) oss << "+CDC" << cdc_shards;
   return oss.str();
 }

@@ -10,7 +10,8 @@
 // * The PHYSICAL design adds execution choices: partitioning (degree,
 //   scheme, extent), recovery-point placement, n-modular redundancy, CPU
 //   budget, and load scheduling. A PhysicalDesign converts directly to an
-//   engine ExecutionConfig.
+//   engine ExecutionConfig. Kernel choice is not among them: the engine
+//   runs every columnar-capable op vectorized (engine/pipeline.h).
 //
 // Translations between levels live in translate.h; rewrites over logical
 // flows in rewrites.h; prediction over physical designs in cost_model.h.
@@ -219,12 +220,6 @@ struct PhysicalDesign {
   /// target ENOSPC): fail fast, pause-and-retry with backoff, or shed the
   /// unloadable remainder to the dead-letter ledger.
   ResourcePolicy resource_policy = ResourcePolicy::kFailFlow;
-  /// Columnar batch fast path (ExecutionConfig::columnar): contiguous runs
-  /// of columnar-capable per-row transforms execute vectorized on
-  /// ColumnBatches. Output is byte-identical with the flag off (the
-  /// default); the cost model prices it as a transform throughput
-  /// multiplier (cost_model.h columnar_speedup).
-  bool columnar = false;
   /// Freshness SLA expressed as an execution deadline, seconds (0 = none,
   /// the seed behaviour). Maps to ExecutionConfig::sla.deadline_micros: a
   /// solo run stamps the absolute deadline at start; the FlowService

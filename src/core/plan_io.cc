@@ -49,7 +49,6 @@ bool DesignSpec::operator==(const DesignSpec& other) const {
          journal_sync == other.journal_sync &&
          memory_budget_bytes == other.memory_budget_bytes &&
          resource_policy == other.resource_policy &&
-         columnar == other.columnar &&
          sla_deadline_s == other.sla_deadline_s &&
          has_service == other.has_service &&
          service_workers == other.service_workers &&
@@ -108,7 +107,6 @@ DesignSpec SpecOf(const PhysicalDesign& design) {
   spec.journal_sync = JournalSyncName(design.journal_sync);
   spec.memory_budget_bytes = design.memory_budget_bytes;
   spec.resource_policy = ResourcePolicyName(design.resource_policy);
-  spec.columnar = design.columnar;
   spec.sla_deadline_s = design.sla_deadline_s;
   spec.cdc_shards = design.cdc_shards;
   spec.cdc_slice_events = design.cdc_slice_events;
@@ -406,8 +404,6 @@ std::string ExportDesignXml(const DesignSpec& spec) {
     oss << " memory_budget_bytes=\"" << spec.memory_budget_bytes
         << "\" resource_policy=\"" << XmlEscape(spec.resource_policy) << "\"";
   }
-  // Likewise: the columnar attribute appears only when the fast path is on.
-  if (spec.columnar) oss << " columnar=\"1\"";
   // The SLA attribute appears only for deadline-carrying flows, so
   // pre-service documents stay byte-stable.
   if (spec.sla_deadline_s > 0.0) {
@@ -525,7 +521,8 @@ Result<DesignSpec> ParseDesignXml(const std::string& xml) {
       ParseSize(AttributeOr(root, "memory_budget_bytes", "0")));
   spec.resource_policy = AttributeOr(root, "resource_policy", "fail_flow");
   QOX_RETURN_IF_ERROR(ParseResourcePolicy(spec.resource_policy).status());
-  spec.columnar = AttributeOr(root, "columnar", "0") == "1";
+  // A columnar="0|1" attribute (a retired knob) is ignored like any
+  // unknown attribute, so older documents still parse.
   // Schema evolution: documents written before the SLA / service additions
   // simply lack these attributes and fall back to the defaults.
   QOX_ASSIGN_OR_RETURN(spec.sla_deadline_s,

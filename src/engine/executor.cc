@@ -87,9 +87,6 @@ class FlowRunner {
     ctx_.columnar_rows = &columnar_rows_;
     ctx_.memory_budget = &memory_budget_;
     ctx_.spill = &spill_;
-    if (config_.spill_write_fault) {
-      spill_.SetWriteFault(config_.spill_write_fault);
-    }
     if (config_.reject_store != nullptr) {
       ctx_.reject_sink = [this](const Row& row) -> Status {
         RowBatch audit(RejectStoreSchema());
@@ -252,9 +249,6 @@ class FlowRunner {
     pc->error_policies = &config_.error_policies;
     pc->error_budget = &budget_state_;
     pc->quarantine_sink = quarantine_sink_;
-    // The columnar flag rides along for the same reason: every pipeline
-    // must agree on the execution mode.
-    pc->columnar = config_.columnar;
   }
 
   /// Sheds one load row under ResourcePolicy::kShedToQuarantine: routes it
@@ -568,9 +562,8 @@ class FlowRunner {
   /// Partitioned unit over ops [begin, end): a router stage deals rows into
   /// per-partition channels as they arrive, one pipeline stage per
   /// partition transforms them (a stage group: concurrent CPU tasks under
-  /// phased dispatch), and a merge stage reunifies the branches — a k-way
-  /// ordered merge over per-partition sorted runs when ordered_merge is
-  /// set, else a deterministic round-robin batch interleave.
+  /// phased dispatch), and a merge stage reunifies the branches with a
+  /// k-way ordered merge over per-partition sorted runs.
   Result<BatchChannelPtr> SpawnParallelUnit(StageSet* stages,
                                             BatchChannelPtr in,
                                             const PlanUnit& unit, int attempt,
@@ -622,8 +615,9 @@ class FlowRunner {
           stats->channel_high_water = high_water;
           return Status::OK();
         });
-    const bool ordered =
-        config_.ordered_merge && cut_schemas_[end].num_fields() > 0;
+    // A zero-column end schema has no key: every row ties, so branches
+    // skip the sort and the merge emits whole partitions in index order.
+    const bool keyed = cut_schemas_[end].num_fields() > 0;
     // Phased units report branch and merge times for the virtual N-CPU
     // scheduler (ParallelUnitStats). Pipelined branches overlap their
     // neighbours, so their wall times are not partition work.
@@ -645,7 +639,7 @@ class FlowRunner {
       branches.push_back(
           {plan_.nodes()[unit.branches[p]].label,
            [this, p, inp = part_in[p], outp = part_out[p], begin, end,
-            attempt, per_part_rows, ordered, unit_stats,
+            attempt, per_part_rows, keyed, unit_stats,
             branch_id = unit.branches[p]](StageStats* stats) -> Status {
              stats->node_id = static_cast<int64_t>(branch_id);
              const StopWatch timer;
@@ -654,29 +648,25 @@ class FlowRunner {
                  MakePipeline(begin, end, attempt,
                               ExpectedRows(*inp, per_part_rows)));
              RowBatch acc(cut_schemas_[end]);
-             // Ordered merges need each branch to emit one sorted run, so
-             // the branch buffers and sorts its whole output.
+             // The ordered merge needs each branch to emit one sorted run,
+             // so the branch buffers and sorts its whole output.
              std::vector<Row> run;
              QOX_RETURN_IF_ERROR(RunPipeline(
                  inp.get(), pipeline.get(), stats,
                  [&](std::vector<Row> produced) -> Status {
-                   if (!ordered) {
-                     return EmitRows(std::move(produced), &acc, outp.get(),
-                                     stats);
-                   }
                    run.insert(run.end(),
                               std::make_move_iterator(produced.begin()),
                               std::make_move_iterator(produced.end()));
                    return Status::OK();
                  }));
-             if (ordered) {
+             if (keyed) {
                std::stable_sort(run.begin(), run.end(),
                                 [](const Row& a, const Row& b) {
                                   return a.value(0).Compare(b.value(0)) < 0;
                                 });
-               QOX_RETURN_IF_ERROR(
-                   EmitRows(std::move(run), &acc, outp.get(), stats));
              }
+             QOX_RETURN_IF_ERROR(
+                 EmitRows(std::move(run), &acc, outp.get(), stats));
              QOX_RETURN_IF_ERROR(FlushBatch(&acc, outp.get(), stats));
              stats->channel_high_water = outp->stats().high_water;
              outp->Close();
@@ -695,13 +685,11 @@ class FlowRunner {
     BatchChannelPtr out = stages->MakeChannel(config_.channel_capacity);
     stages->Spawn(
         plan_.nodes()[unit.merge].label,
-        [this, part_out, out, end, ordered, unit_stats,
+        [this, part_out, out, end, unit_stats,
          node_id = unit.merge](StageStats* stats) -> Status {
           stats->node_id = static_cast<int64_t>(node_id);
           const StopWatch timer;
-          QOX_RETURN_IF_ERROR(
-              ordered ? OrderedMerge(part_out, end, out.get(), stats)
-                      : RoundRobinMerge(part_out, out.get(), stats));
+          QOX_RETURN_IF_ERROR(OrderedMerge(part_out, end, out.get(), stats));
           stats->channel_high_water = out->stats().high_water;
           out->Close();
           if (unit_stats != nullptr) {
@@ -717,12 +705,14 @@ class FlowRunner {
   /// K-way merge over per-partition sorted runs: repeatedly emits the
   /// smallest head row by first-column order, breaking ties toward the
   /// lowest partition index — the order a stable sort over the
-  /// partition-concatenated output would produce. Inputs are consumed
-  /// through a PartitionFeed so waiting on one partition's next batch
-  /// never head-of-line blocks the others (deadlock under partition skew
+  /// partition-concatenated output would produce. Unkeyed rows (a
+  /// zero-column schema) all tie. Inputs are consumed through a
+  /// PartitionFeed so waiting on one partition's next batch never
+  /// head-of-line blocks the others (deadlock under partition skew
   /// otherwise).
   Status OrderedMerge(const std::vector<BatchChannelPtr>& parts,
                       size_t end_cut, BatchChannel* out, StageStats* stats) {
+    const bool keyed = cut_schemas_[end_cut].num_fields() > 0;
     struct Run {
       std::vector<Row> rows;
       size_t next = 0;
@@ -753,8 +743,8 @@ class FlowRunner {
       for (size_t p = 0; p < runs.size(); ++p) {
         if (runs[p].next >= runs[p].rows.size()) continue;
         if (best < 0 ||
-            runs[p].rows[runs[p].next].value(0).Compare(
-                runs[best].rows[runs[best].next].value(0)) < 0) {
+            (keyed && runs[p].rows[runs[p].next].value(0).Compare(
+                          runs[best].rows[runs[best].next].value(0)) < 0)) {
           best = static_cast<int>(p);
         }
       }
@@ -766,37 +756,6 @@ class FlowRunner {
       QOX_RETURN_IF_ERROR(refill(static_cast<size_t>(best)));
     }
     return FlushBatch(&acc, out, stats);
-  }
-
-  /// Unordered merge: forwards one batch per open partition per round, in
-  /// partition-index order — deterministic, which the inline-load sink's
-  /// cross-attempt skip logic depends on. The deterministic *emission*
-  /// order is decoupled from consumption via a PartitionFeed: while the
-  /// round waits for a starved partition, ready batches from the other
-  /// partitions are drained into local buffers, so skewed partitioning
-  /// never deadlocks the bounded dataflow.
-  static Status RoundRobinMerge(const std::vector<BatchChannelPtr>& parts,
-                                BatchChannel* out, StageStats* stats) {
-    PartitionFeed feed(parts);
-    std::vector<bool> open(parts.size(), true);
-    size_t remaining = parts.size();
-    while (remaining > 0) {
-      for (size_t p = 0; p < parts.size(); ++p) {
-        if (!open[p]) continue;
-        QOX_ASSIGN_OR_RETURN(std::optional<RowBatch> item,
-                             feed.Next(p, &stats->stall_micros));
-        if (!item.has_value()) {
-          open[p] = false;
-          --remaining;
-          continue;
-        }
-        stats->rows += item->num_rows();
-        ++stats->batches;
-        QOX_RETURN_IF_ERROR(
-            out->Push(std::move(*item), &stats->backpressure_micros));
-      }
-    }
-    return Status::OK();
   }
 
   /// Terminal stage when the runner does not load inline: materializes the
@@ -1177,7 +1136,6 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   input.redundancy = config.redundancy;
   input.streaming = config.streaming;
   input.channel_capacity = config.channel_capacity;
-  input.ordered_merge = config.ordered_merge;
   input.error_policies = config.error_policies;
   input.error_budget = config.error_budget;
   input.journaled = config.journal != nullptr;

@@ -33,6 +33,12 @@
 // exclusive phases, and a unit's partition branches run as CPU tasks of
 // the flow's pool. Streaming (`ExecutionConfig::streaming`) pipelines
 // them as concurrent stages over bounded channels.
+//
+// Merging and kernels. Partition branches always reunify through the
+// ordered k-way merge (first-column order, partition-index tie-break) —
+// the "merging back is not cheap" cost of Sec. 2.2. Inside every pipeline
+// each run of columnar-capable ops executes vectorized and everything
+// else on the row kernels (engine/pipeline.h); neither is a config knob.
 
 #ifndef QOX_ENGINE_EXECUTOR_H_
 #define QOX_ENGINE_EXECUTOR_H_
@@ -115,10 +121,6 @@ struct ExecutionConfig {
   /// (see IsTransient in common/status) fail fast regardless. Redundant
   /// instances get a single attempt: redundancy replaces recovery.
   RetryPolicy retry;
-  /// Re-establish a global order after merging partitioned branches (sort
-  /// by first column). This is the "merging back the partitioned data is
-  /// not cheap" cost of Sec. 2.2 and is on by default.
-  bool ordered_merge = true;
   /// Optional audit sink: rows rejected by quality operators (NULL
   /// filters, unresolved lookups) are appended here with provenance
   /// (flow id, instance, attempt, serialized row) — the auditability
@@ -183,17 +185,6 @@ struct ExecutionConfig {
   /// under the system temp dir. Recorded in the flow journal so a
   /// supervisor restart deletes a dead incarnation's leftovers.
   std::string spill_dir;
-  /// Test hook: fault injected before every physical spill write/finalize
-  /// (the disk-pressure analogue of FailureInjector, which covers store
-  /// boundaries but not operator-internal spill I/O). May be empty.
-  std::function<Status()> spill_write_fault;
-  /// Columnar batch fast path (engine/pipeline.h): contiguous runs of
-  /// columnar-capable transform ops execute on ColumnBatches with
-  /// vectorized kernels; the row path remains for everything else. Output
-  /// is byte-identical with the flag off (the default, the seed behavior);
-  /// both dispatch policies honor it (the fast path lives in the shared
-  /// Pipeline).
-  bool columnar = false;
 };
 
 /// Schema of the reject/audit store:

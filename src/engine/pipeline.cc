@@ -21,12 +21,10 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Create(
   }
   // Columnar capability is queried after Open: it may depend on execution
   // state (a lookup that spilled its build side is row-only).
-  pipeline->columnar_ok_.assign(pipeline->ops_.size(), false);
-  if (config.columnar) {
-    for (size_t i = 0; i < pipeline->ops_.size(); ++i) {
-      pipeline->columnar_ok_[i] = !pipeline->ops_[i]->IsBlocking() &&
-                                  pipeline->ops_[i]->CanPushColumnar();
-    }
+  pipeline->columnar_ok_.reserve(pipeline->ops_.size());
+  for (const OperatorPtr& op : pipeline->ops_) {
+    pipeline->columnar_ok_.push_back(!op->IsBlocking() &&
+                                     op->CanPushColumnar());
   }
   return pipeline;
 }

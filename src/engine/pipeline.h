@@ -10,6 +10,15 @@
 // The pipeline is also where failure injection and cancellation are
 // observed: before each operator invocation it reports progress to the
 // FailureInjector and checks the cooperative cancel flag.
+//
+// Execution path. Every maximal run of columnar-capable, non-blocking
+// operators executes on a ColumnBatch (selection-vector filtering,
+// vectorized kernels); everything else runs the row kernels. There is no
+// mode switch: the row path is the fallback the pipeline picks from what
+// it observes — an op without a columnar kernel (or a lookup whose build
+// side spilled), a batch that is not type-pure (ColumnBatch::FromRowBatch
+// declines), or armed poison screening. Output is byte-identical either
+// way.
 
 #ifndef QOX_ENGINE_PIPELINE_H_
 #define QOX_ENGINE_PIPELINE_H_
@@ -49,12 +58,6 @@ struct PipelineConfig {
   /// be null: quarantined rows are then dropped like kSkip but still
   /// counted as quarantined.
   QuarantineSink quarantine_sink;
-  /// Enables the columnar fast path: a contiguous run of columnar-capable,
-  /// non-blocking operators executes on a ColumnBatch (selection-vector
-  /// filtering, vectorized kernels), converting back to rows at the first
-  /// non-capable op. Off keeps the pure row path (the seed behaviour);
-  /// output is byte-identical either way.
-  bool columnar = false;
 };
 
 class Pipeline {
@@ -122,9 +125,8 @@ class Pipeline {
   /// Shared handles onto schemas_, built once so per-batch construction on
   /// the hot path never copies a Schema.
   std::vector<SchemaPtr> schema_ptrs_;
-  /// columnar_ok_[i]: op i participates in columnar runs (config enables
-  /// it, the op advertises the capability after Open, and it is
-  /// non-blocking).
+  /// columnar_ok_[i]: op i participates in columnar runs (the op
+  /// advertises the capability after Open, and it is non-blocking).
   std::vector<bool> columnar_ok_;
   OperatorContext* ctx_;
   PipelineConfig config_;

@@ -77,7 +77,6 @@ struct PlanInput {
   size_t redundancy = 1;
   bool streaming = false;
   size_t channel_capacity = 8;
-  bool ordered_merge = true;
   /// Per-op row-error containment policy (by global index). Empty or
   /// shorter than the chain = kFailFast for the uncovered ops. Longer than
   /// the chain is a lowering error. Carried on the plan so dumps, the XML
@@ -106,7 +105,7 @@ enum class PlanNodeKind {
   kTransform,        ///< sequential pipeline over ops [begin, end)
   kPartitionRouter,  ///< routes rows into per-partition channels
   kPartitionBranch,  ///< one partition's pipeline over ops [begin, end)
-  kMerge,            ///< reunifies partition branches (ordered or RR)
+  kMerge,            ///< reunifies partition branches (ordered k-way)
   kRpBarrier,        ///< recovery-point cut: materialize + persist + re-emit
   kCollect,          ///< materializes output for the redundancy voter
   kReplicaGroup,     ///< NMR majority vote over `partition` = k replicas

@@ -162,8 +162,7 @@ struct RunMetrics {
   size_t dim_cache_builds = 0;
   size_t dim_cache_hits = 0;
   /// Batches that entered the pipeline's columnar fast path and the live
-  /// rows they carried (0 when ExecutionConfig::columnar is off or no op
-  /// run qualified).
+  /// rows they carried (0 when no op run qualified).
   size_t columnar_batches = 0;
   size_t columnar_rows = 0;
 

@@ -73,10 +73,13 @@ Result<size_t> FlatFile::NumRows() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ifstream in(path_);
   if (!in) return Status::IoError("cannot open file '" + path_ + "'");
-  size_t lines = 0;
   std::string line;
-  while (std::getline(in, line)) ++lines;
-  return lines == 0 ? 0 : lines - 1;  // minus header
+  if (!std::getline(in, line)) return 0;  // empty file: no header
+  size_t rows = 0;
+  while (std::getline(in, line)) {
+    if (!line.empty()) ++rows;  // Scan skips blank lines
+  }
+  return rows;
 }
 
 Status FlatFile::Scan(

@@ -343,6 +343,31 @@ TEST(PlanIoTest, PreServiceDocumentsStillParse) {
   EXPECT_FALSE(ParseDesignXml(bad).ok());
 }
 
+TEST(PlanIoTest, RetiredColumnarAttributeParsesAndIsDropped) {
+  // Compatibility: documents written while the columnar path was a design
+  // knob carry columnar="0|1" on the root element. The engine now always
+  // runs columnar-capable ops vectorized, so the attribute is accepted,
+  // ignored, and never re-emitted.
+  const std::string xml = ExportDesignXml(SpecOf(MakeDesign()));
+  const Result<DesignSpec> plain = ParseDesignXml(xml);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  const std::string root = "<physical_design";
+  const size_t at = xml.find(root);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"1", "0"}) {
+    SCOPED_TRACE(std::string("columnar=") + value);
+    std::string legacy = xml;
+    legacy.insert(at + root.size(),
+                  std::string(" columnar=\"") + value + "\"");
+    const Result<DesignSpec> parsed = ParseDesignXml(legacy);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_TRUE(parsed.value() == plain.value());
+    const std::string reexported = ExportDesignXml(parsed.value());
+    EXPECT_EQ(reexported.find("columnar"), std::string::npos);
+    EXPECT_EQ(reexported, xml);
+  }
+}
+
 TEST(PlanIoTest, CdcKnobsRoundTrip) {
   PhysicalDesign design = MakeDesign();
   design.cdc_shards = 4;

@@ -29,6 +29,7 @@
 #include "storage/journal_file.h"
 #include "storage/lease_file.h"
 #include "storage/mem_table.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -89,8 +90,7 @@ void ExpectVersionsStrictlyIncreasing(const std::string& wal_path,
 class CdcSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = ::testing::TempDir() + "/cdc_sweep_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this));
+    root_ = testing_util::MakeTempDir("cdc_sweep");
   }
   void TearDown() override {
     std::error_code ec;

@@ -1,5 +1,6 @@
-// Columnar fast-path equivalence: the same flow under config.columnar on
-// vs off must load a byte-identical warehouse — including when rows leave
+// Columnar fast-path equivalence: the default flow and its RowOnly-wrapped
+// twin (testing_util::RowOnly, the row-kernel reference) must load a
+// byte-identical warehouse — including when rows leave
 // through side channels (reject sink, dead-letter ledger) via the
 // selection vector — while the run metrics prove the vectorized path
 // actually engaged.
@@ -95,15 +96,15 @@ RunResult RunFlow(const std::vector<Row>& input, LookupMissPolicy miss_policy,
   auto target = std::make_shared<MemTable>(
       "wh", TargetSchema(dim, miss_policy));
   ExecutionConfig config;
-  config.columnar = columnar;
   config.streaming = streaming;
   config.batch_size = 32;
   config.reject_store = reject_store;
   config.dead_letter = dlq;
   config.error_policies = policies;
-  const Result<RunMetrics> metrics = Executor::Run(
-      MakeFlow(MakeSource(SimpleSchema(), input), dim, target, miss_policy),
-      config);
+  FlowSpec flow =
+      MakeFlow(MakeSource(SimpleSchema(), input), dim, target, miss_policy);
+  if (!columnar) flow = testing_util::RowOnly(std::move(flow));
+  const Result<RunMetrics> metrics = Executor::Run(flow, config);
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   RunResult result;
   result.warehouse = target->ReadAll().value().rows();
@@ -221,8 +222,8 @@ TEST(ColumnarExecutionTest, SurrogateKeysAssignedIdenticallyUnderSelection) {
     auto target = std::make_shared<MemTable>(
         "wh", bind_probe.Bind(SimpleSchema()).value());
     spec.target = target;
+    if (!columnar) spec = testing_util::RowOnly(std::move(spec));
     ExecutionConfig config;
-    config.columnar = columnar;
     config.batch_size = 32;
     const Result<RunMetrics> metrics = Executor::Run(spec, config);
     EXPECT_TRUE(metrics.ok()) << metrics.status();
@@ -241,14 +242,13 @@ TEST(ColumnarExecutionTest, ParallelPartitionsUseTheFastPath) {
     auto target = std::make_shared<MemTable>(
         "wh", TargetSchema(dim, LookupMissPolicy::kNull));
     ExecutionConfig config;
-    config.columnar = columnar;
     config.batch_size = 32;
     config.num_threads = 4;
     config.parallel.partitions = 4;
-    const Result<RunMetrics> metrics = Executor::Run(
-        MakeFlow(MakeSource(SimpleSchema(), input), dim, target,
-                 LookupMissPolicy::kNull),
-        config);
+    FlowSpec flow = MakeFlow(MakeSource(SimpleSchema(), input), dim, target,
+                             LookupMissPolicy::kNull);
+    if (!columnar) flow = testing_util::RowOnly(std::move(flow));
+    const Result<RunMetrics> metrics = Executor::Run(flow, config);
     EXPECT_TRUE(metrics.ok()) << metrics.status();
     if (columnar) {
       EXPECT_GT(metrics.value().columnar_batches, 0u);

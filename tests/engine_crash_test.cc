@@ -247,8 +247,7 @@ Outcome RunSupervised(const std::string& dir, const CrashSchedule& schedule,
 class CrashSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = ::testing::TempDir() + "/crash_sweep_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this));
+    root_ = testing_util::MakeTempDir("crash_sweep");
   }
   void TearDown() override {
     std::error_code ec;

@@ -31,8 +31,7 @@ using testing_util::SimpleSchema;
 class FaultToleranceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/ft_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("ft_test");
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
   void TearDown() override {

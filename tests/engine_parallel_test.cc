@@ -52,7 +52,6 @@ struct ParallelCase {
   PartitionScheme scheme;
   size_t range_begin;
   size_t range_end;
-  bool ordered_merge;
 };
 
 class ParallelEquivalenceTest
@@ -79,7 +78,6 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialOutput) {
   config.parallel.hash_column = "id";
   config.parallel.range_begin = test_case.range_begin;
   config.parallel.range_end = test_case.range_end;
-  config.ordered_merge = test_case.ordered_merge;
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, par_target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -92,18 +90,66 @@ INSTANTIATE_TEST_SUITE_P(
     Configurations, ParallelEquivalenceTest,
     ::testing::Values(
         // Whole-flow parallelism (the paper's xPF-f).
-        ParallelCase{2, 2, PartitionScheme::kRoundRobin, 0, 99, true},
-        ParallelCase{4, 4, PartitionScheme::kRoundRobin, 0, 99, true},
-        ParallelCase{8, 4, PartitionScheme::kRoundRobin, 0, 99, true},
-        ParallelCase{4, 1, PartitionScheme::kRoundRobin, 0, 99, true},
+        ParallelCase{2, 2, PartitionScheme::kRoundRobin, 0, 99},
+        ParallelCase{4, 4, PartitionScheme::kRoundRobin, 0, 99},
+        ParallelCase{8, 4, PartitionScheme::kRoundRobin, 0, 99},
+        ParallelCase{4, 1, PartitionScheme::kRoundRobin, 0, 99},
         // Partial-flow parallelism (xPF-p): only ops [0, 2).
-        ParallelCase{4, 4, PartitionScheme::kRoundRobin, 0, 2, true},
-        ParallelCase{2, 4, PartitionScheme::kRoundRobin, 1, 2, true},
+        ParallelCase{4, 4, PartitionScheme::kRoundRobin, 0, 2},
+        ParallelCase{2, 4, PartitionScheme::kRoundRobin, 1, 2},
         // Hash partitioning.
-        ParallelCase{4, 4, PartitionScheme::kHash, 0, 99, true},
-        ParallelCase{3, 2, PartitionScheme::kHash, 0, 2, true},
-        // Unordered merge still matches as a multiset.
-        ParallelCase{4, 4, PartitionScheme::kRoundRobin, 0, 99, false}));
+        ParallelCase{4, 4, PartitionScheme::kHash, 0, 99},
+        ParallelCase{3, 2, PartitionScheme::kHash, 0, 2}));
+
+// A partitioned unit whose end schema has no columns has no merge key:
+// every row ties, so the ordered merge emits whole partitions in index
+// order — what the k-way merge does with all-tie rows — and must not crash
+// on a missing first column.
+TEST(ParallelExecutionTest, ZeroColumnUnitStillMerges) {
+  const std::vector<Row> input = SimpleRows(1000);
+  const auto make_ops = [] {
+    std::vector<OperatorFactory> ops;
+    ops.push_back([]() -> OperatorPtr {
+      return std::make_unique<FunctionOp>(
+          "drop_all", std::vector<ColumnTransform>{
+                          ColumnTransform::Drop("id"),
+                          ColumnTransform::Drop("category"),
+                          ColumnTransform::Drop("amount"),
+                          ColumnTransform::Drop("note")});
+    });
+    ops.push_back([]() -> OperatorPtr {
+      return std::make_unique<FunctionOp>(
+          "tag", std::vector<ColumnTransform>{ColumnTransform::Constant(
+                     "tag", Value::String("x"))});
+    });
+    return ops;
+  };
+  Schema schema = SimpleSchema();
+  for (const OperatorFactory& factory : make_ops()) {
+    schema = factory()->Bind(schema).value();
+  }
+  ASSERT_EQ(schema.num_fields(), 1u);
+  for (const bool streaming : {false, true}) {
+    SCOPED_TRACE(streaming ? "streaming" : "phased");
+    auto target = std::make_shared<MemTable>("tgt", schema);
+    FlowSpec spec;
+    spec.id = "zero_column_flow";
+    spec.source = testing_util::MakeSource(SimpleSchema(), input);
+    spec.transforms = make_ops();
+    spec.target = target;
+    ExecutionConfig config;
+    config.num_threads = 4;
+    config.streaming = streaming;
+    config.parallel.partitions = 4;
+    config.parallel.range_end = 1;  // the unit ends at the zero-column cut
+    const Result<RunMetrics> metrics = Executor::Run(spec, config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(metrics.value().rows_loaded, input.size());
+    const std::vector<Row> rows = target->ReadAll().value().rows();
+    ASSERT_EQ(rows.size(), input.size());
+    for (const Row& row : rows) EXPECT_EQ(row.value(0).string_value(), "x");
+  }
+}
 
 TEST(ParallelExecutionTest, MergeCostReported) {
   const DataStorePtr source =

@@ -365,7 +365,9 @@ TEST(QuarantineExecutionTest, QuarantineWithoutLedgerDegradesToSkip) {
 
 // Operator-reported row errors (not injected poison): a strict lookup hits
 // unresolved keys; kQuarantine contains exactly the missing-key rows, and
-// after the dimension is repaired, replay recovers them.
+// after the dimension is repaired, replay recovers them. The lookup runs
+// RowOnly so the pipeline's row-by-row containment replay stays covered
+// (engine_columnar_test covers the columnar kernel's containment).
 TEST(QuarantineExecutionTest, LookupMissQuarantineAndRepairReplay) {
   const Schema dim_schema({{"code", DataType::kString, false},
                            {"desc", DataType::kString, false}});
@@ -381,11 +383,12 @@ TEST(QuarantineExecutionTest, LookupMissQuarantineAndRepairReplay) {
   FlowSpec flow;
   flow.id = "lkp_flow";
   flow.source = MakeSource(SimpleSchema(), input);
-  flow.transforms.push_back([dimension]() -> OperatorPtr {
-    return std::make_unique<LookupOp>(
-        "lkp", dimension, "category", "code",
-        std::vector<std::string>{"desc"}, LookupMissPolicy::kError);
-  });
+  flow.transforms.push_back(
+      testing_util::RowOnly([dimension]() -> OperatorPtr {
+        return std::make_unique<LookupOp>(
+            "lkp", dimension, "category", "code",
+            std::vector<std::string>{"desc"}, LookupMissPolicy::kError);
+      }));
   LookupOp bind_probe("lkp", dimension, "category", "code", {"desc"},
                       LookupMissPolicy::kError);
   auto target = std::make_shared<MemTable>(

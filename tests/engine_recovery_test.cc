@@ -23,8 +23,7 @@ using testing_util::SimpleSchema;
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/recovery_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("recovery_test");
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
   void TearDown() override {

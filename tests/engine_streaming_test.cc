@@ -19,7 +19,6 @@
 namespace qox {
 namespace {
 
-using testing_util::SameMultiset;
 using testing_util::SimpleRows;
 using testing_util::SimpleSchema;
 
@@ -66,7 +65,6 @@ struct StreamingCase {
   PartitionScheme scheme;
   size_t range_begin;
   size_t range_end;
-  bool ordered_merge;
   size_t channel_capacity;
   size_t batch_size;
 };
@@ -87,7 +85,6 @@ TEST_P(StreamingEquivalenceTest, MatchesPhasedOutput) {
   config.parallel.hash_column = "id";
   config.parallel.range_begin = c.range_begin;
   config.parallel.range_end = c.range_end;
-  config.ordered_merge = c.ordered_merge;
   const std::vector<Row> expected = RunPhased(source, config);
 
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
@@ -99,38 +96,32 @@ TEST_P(StreamingEquivalenceTest, MatchesPhasedOutput) {
   EXPECT_TRUE(metrics.value().streaming);
   EXPECT_FALSE(metrics.value().stage_stats.empty());
   const std::vector<Row> got = target->ReadAll().value().rows();
-  if (c.ordered_merge) {
-    // Ordered merges reproduce the phased order exactly (k-way merge with
-    // partition-index tie-break == stable sort of the concatenation).
-    EXPECT_EQ(expected, got);
-  } else {
-    EXPECT_TRUE(SameMultiset(expected, got));
-  }
+  // The ordered merge reproduces the phased order exactly (k-way merge
+  // with partition-index tie-break == stable sort of the concatenation).
+  EXPECT_EQ(expected, got);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configurations, StreamingEquivalenceTest,
     ::testing::Values(
         // Purely sequential dataflow, default batches.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, true, 4, 128},
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 4, 128},
         // Tiny channel + tiny batches: heavy backpressure exercise.
-        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, true, 1, 7},
+        StreamingCase{1, PartitionScheme::kRoundRobin, 0, 3, 1, 7},
         // Round-robin partitioned, full range.
-        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, true, 4, 64},
-        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, false, 4, 64},
+        StreamingCase{4, PartitionScheme::kRoundRobin, 0, 3, 4, 64},
         // Hash partitioned, full range.
-        StreamingCase{4, PartitionScheme::kHash, 0, 3, true, 4, 64},
+        StreamingCase{4, PartitionScheme::kHash, 0, 3, 4, 64},
         // Partial parallel range: sequential prefix + partitioned suffix.
-        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, true, 2, 32},
-        StreamingCase{3, PartitionScheme::kHash, 1, 2, false, 2, 32},
+        StreamingCase{3, PartitionScheme::kRoundRobin, 1, 3, 2, 32},
+        StreamingCase{3, PartitionScheme::kHash, 1, 2, 2, 32},
         // More partitions than a typical core count.
-        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, true, 2, 16}));
+        StreamingCase{8, PartitionScheme::kRoundRobin, 0, 3, 2, 16}));
 
 class StreamingRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/streaming_rp_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("streaming_rp");
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
 
@@ -386,31 +377,23 @@ TEST(StreamingExecutorTest, FullySkewedHashPartitionsDoNotDeadlock) {
   }
   const DataStorePtr source = testing_util::MakeSource(SimpleSchema(), rows);
 
-  for (const bool ordered : {false, true}) {
-    ExecutionConfig config;
-    config.num_threads = 4;
-    config.batch_size = 16;
-    config.parallel.partitions = 4;
-    config.parallel.scheme = PartitionScheme::kHash;
-    config.parallel.hash_column = "id";
-    config.parallel.range_begin = 0;
-    config.parallel.range_end = 2;
-    config.ordered_merge = ordered;
-    const std::vector<Row> expected = RunPhased(source, config);
+  ExecutionConfig config;
+  config.num_threads = 4;
+  config.batch_size = 16;
+  config.parallel.partitions = 4;
+  config.parallel.scheme = PartitionScheme::kHash;
+  config.parallel.hash_column = "id";
+  config.parallel.range_begin = 0;
+  config.parallel.range_end = 2;
+  const std::vector<Row> expected = RunPhased(source, config);
 
-    auto target = std::make_shared<MemTable>("tgt", BoundSchema());
-    config.streaming = true;
-    config.channel_capacity = 2;
-    const Result<RunMetrics> metrics =
-        Executor::Run(MakeFlow(source, target), config);
-    ASSERT_TRUE(metrics.ok()) << metrics.status();
-    const std::vector<Row> got = target->ReadAll().value().rows();
-    if (ordered) {
-      EXPECT_EQ(expected, got);
-    } else {
-      EXPECT_TRUE(SameMultiset(expected, got));
-    }
-  }
+  auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  config.streaming = true;
+  config.channel_capacity = 2;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(expected, target->ReadAll().value().rows());
 }
 
 TEST(PartitionFeedTest, AnyReadyDrainAvoidsHeadOfLineDeadlock) {

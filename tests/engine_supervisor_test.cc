@@ -16,6 +16,7 @@
 #include "common/crash_point.h"
 #include "engine/supervisor.h"
 #include "storage/lease_file.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -23,8 +24,7 @@ namespace {
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ = ::testing::TempDir() + "/supervisor_test_" +
-               std::to_string(reinterpret_cast<uintptr_t>(this));
+    scratch_ = testing_util::MakeTempDir("supervisor_test");
     std::filesystem::create_directories(scratch_);
     options_.scratch_dir = scratch_;
     options_.max_incarnations = 8;

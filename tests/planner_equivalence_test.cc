@@ -5,7 +5,8 @@
 //     (1PF / 4PF-p / 4PF-f / 8PF-p, recovery-point placements, NMR 3-5)
 //     both modes must produce byte-identical warehouse contents — and
 //     every configuration must agree with the sequential baseline as a
-//     row multiset (partitioned configs reorder; ordered_merge re-sorts).
+//     row multiset (partitioned configs reorder; the ordered merge
+//     re-sorts).
 //
 // (b) The planner's section/chunk boundaries must exactly match the cost
 //     model's historical section split (barriers at recovery cuts, after
@@ -97,10 +98,13 @@ class PlannerSweepTest : public ::testing::Test {
   }
 
   /// Runs the bottom flow under `config` and returns the DW1 contents.
-  std::vector<Row> RunBottom(const ExecutionConfig& config) {
+  /// `row_only` runs the flow's RowOnly-wrapped twin (the row kernels).
+  std::vector<Row> RunBottom(const ExecutionConfig& config,
+                             bool row_only = false) {
     EXPECT_TRUE(scenario_->ResetWarehouse().ok());
-    const Result<RunMetrics> metrics =
-        Executor::Run(scenario_->bottom_flow().ToFlowSpec(), config);
+    FlowSpec flow = scenario_->bottom_flow().ToFlowSpec();
+    if (row_only) flow = testing_util::RowOnly(std::move(flow));
+    const Result<RunMetrics> metrics = Executor::Run(flow, config);
     EXPECT_TRUE(metrics.ok()) << metrics.status();
     return scenario_->dw1()->ReadAll().value().rows();
   }
@@ -129,17 +133,17 @@ TEST_F(PlannerSweepTest, PhasedAndStreamingLoadIdenticalWarehouses) {
   }
 }
 
-// The columnar fast path is an execution-mode change, not a plan change:
-// across the whole sweep (parallelism, recovery points, redundancy, both
-// schedulers) turning it on must leave the warehouse byte-identical.
+// The columnar fast path is a kernel change, not a plan change: across the
+// whole sweep (parallelism, recovery points, redundancy, both schedulers)
+// the default flow ("on") and its RowOnly-wrapped twin ("off") must load
+// byte-identical warehouses.
 TEST_F(PlannerSweepTest, ColumnarOnMatchesColumnarOffByteForByte) {
   for (const SweepCase& c : SweepCases()) {
     for (const bool streaming : {false, true}) {
       SCOPED_TRACE(c.name + (streaming ? " streaming" : " phased"));
-      const std::vector<Row> off = RunBottom(ConfigFor(c, streaming));
-      ExecutionConfig columnar_config = ConfigFor(c, streaming);
-      columnar_config.columnar = true;
-      const std::vector<Row> on = RunBottom(columnar_config);
+      const std::vector<Row> off =
+          RunBottom(ConfigFor(c, streaming), /*row_only=*/true);
+      const std::vector<Row> on = RunBottom(ConfigFor(c, streaming));
       ASSERT_EQ(on.size(), off.size());
       for (size_t i = 0; i < off.size(); ++i) {
         ASSERT_TRUE(on[i] == off[i])

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -10,8 +13,7 @@ namespace {
 class FlatFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/flat_file_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("flat_file_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -117,6 +119,32 @@ TEST_F(FlatFileTest, ScanBatchSizes) {
                     return Status::OK();
                   }).ok());
   EXPECT_EQ(batches, 3u);
+}
+
+TEST_F(FlatFileTest, NumRowsCountsOnlyTheRowsScanReturns) {
+  // Scan skips blank lines; NumRows (the load baseline and the expected
+  // input volume) must count the same rows, not every line.
+  const std::string path = dir_ + "/blank.csv";
+  {
+    std::ofstream out(path);
+    out << "id,text,value\n"
+        << "1,a,1.5\n"
+        << "\n"
+        << "2,b,2.5\n"
+        << "\n"
+        << "\n"
+        << "3,c,3.5\n"
+        << "\n"
+        << "\n";
+  }
+  const auto file = FlatFile::Open("blank", TestSchema(), path).value();
+  size_t scanned = 0;
+  ASSERT_TRUE(file->Scan(2, [&](const RowBatch& b) {
+                    scanned += b.num_rows();
+                    return Status::OK();
+                  }).ok());
+  EXPECT_EQ(scanned, 3u);
+  EXPECT_EQ(file->NumRows().value(), scanned);
 }
 
 TEST_F(FlatFileTest, OpenInUncreatableDirFails) {

@@ -18,6 +18,7 @@
 #include "storage/journal_file.h"
 #include "storage/lease_file.h"
 #include "storage/recovery_store.h"
+#include "test_util.h"
 
 namespace qox {
 namespace {
@@ -25,8 +26,7 @@ namespace {
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/journal_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("journal_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

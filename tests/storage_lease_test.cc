@@ -16,14 +16,15 @@
 #include <fstream>
 #include <string>
 
+#include "test_util.h"
+
 namespace qox {
 namespace {
 
 class LeaseFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/lease_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("lease");
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/flow.lease";
     ::unsetenv("QOX_LEASE_TIMEOUT_MS");

@@ -5,14 +5,15 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_util.h"
+
 namespace qox {
 namespace {
 
 class RecoveryStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/rp_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("rp_test");
     store_ = RecoveryPointStore::Open(dir_).value();
   }
   void TearDown() override {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "test_util.h"
+
 namespace qox {
 namespace {
 
@@ -29,8 +31,7 @@ Row MakeRow(int64_t id) {
 class SpillTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/spill_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::MakeTempDir("spill");
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {

@@ -3,7 +3,12 @@
 #ifndef QOX_TESTS_TEST_UTIL_H_
 #define QOX_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +17,7 @@
 #include "common/row.h"
 #include "engine/executor.h"
 #include "engine/operator.h"
+#include "row_only.h"
 #include "storage/mem_table.h"
 
 namespace qox {
@@ -70,6 +76,18 @@ inline Result<std::vector<Row>> RunOperator(Operator* op, const Schema& input,
   std::vector<Row> result = out.rows();
   result.insert(result.end(), finished.rows().begin(), finished.rows().end());
   return result;
+}
+
+/// Creates a fresh directory "<gtest temp dir>/<prefix>_XXXXXX" and returns
+/// its path. mkdtemp makes the name unique across concurrently running test
+/// processes; a name derived from a fixture's address is not, because the
+/// sanitizer allocators hand every process the same addresses.
+inline std::string MakeTempDir(const std::string& prefix) {
+  std::string path = ::testing::TempDir() + "/" + prefix + "_XXXXXX";
+  if (::mkdtemp(path.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp(" << path << ") failed: " << std::strerror(errno);
+  }
+  return path;
 }
 
 /// Order-insensitive row-multiset equality.
