@@ -41,7 +41,7 @@ std::string CutPointId(int instance, size_t cut) {
 }
 
 /// Sleeps out a retry backoff and accounts it. Kept out of line so the
-/// instance loop and the load loop charge waits identically.
+/// attempt loop and the voted-load loop charge waits identically.
 void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
                  RunMetrics* metrics) {
   const int64_t wait = policy.BackoffMicros(failed_attempt, rng);
@@ -50,6 +50,15 @@ void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
     metrics->backoff_micros += wait;
   }
 }
+
+/// The target's row count before the flow's first load: rows beyond it are
+/// the flow's own, made durable by an earlier attempt or incarnation.
+/// `fresh` when this Run read it (so none of the flow's rows can be durable
+/// yet); false when it was inherited from a dead incarnation's journal.
+struct LoadBase {
+  size_t rows = 0;
+  bool fresh = true;
+};
 
 /// Per-instance flow execution: the scheduler over the lowered
 /// ExecutionPlan, with recovery semantics. Each attempt wires one stage per
@@ -62,10 +71,11 @@ void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
 /// pool under a FlowService) under the flow's deadline tag.
 class FlowRunner {
  public:
+  /// `base` is the target's pre-flow row count (see LoadBase).
   FlowRunner(const FlowSpec& flow, const ExecutionConfig& config,
              const ExecutionPlan& plan,
              const std::vector<Schema>& cut_schemas, const ExecContext& exec,
-             int instance_id, std::atomic<bool>* cancelled)
+             int instance_id, std::atomic<bool>* cancelled, LoadBase base)
       : flow_(flow),
         config_(config),
         plan_(plan),
@@ -78,6 +88,8 @@ class FlowRunner {
         budget_state_(config.error_budget),
         memory_budget_(config.memory_budget_bytes),
         spill_(config.spill_dir + "/i" + std::to_string(instance_id)),
+        load_base_rows_(base.rows),
+        flow_durable_(base.fresh ? std::optional<size_t>(0) : std::nullopt),
         journal_(instance_id == 0 ? config.journal.get() : nullptr) {
     ctx_.cancelled = cancelled;
     ctx_.rejected_rows = &rejected_;
@@ -122,37 +134,16 @@ class FlowRunner {
     }
   }
 
-  /// Streaming with no redundancy loads inline at the dataflow sink
-  /// (redundant instances must still hand their output to the voter).
-  bool StreamingInlineLoad() const {
-    return config_.streaming && config_.redundancy <= 1;
-  }
-
-  /// Whether the inline-load sink ran and made the target current (so the
-  /// caller must skip its own load phase).
-  bool loaded_inline() const { return loaded_inline_; }
-
-  /// Runs (with per-instance retries unless redundant) and fills `*out`
-  /// with the transform output. Metrics cover this instance only. In
-  /// inline-load streaming mode `*out` stays empty: rows are already in
-  /// the target on success.
-  Status RunToOutput(std::vector<Row>* out) {
+  /// Runs the flow's attempts (with retries unless redundant). With
+  /// `voter_output` null every attempt ends in the load stage, so on
+  /// success the target holds the output; otherwise a collect stage fills
+  /// `*voter_output` for the redundancy voter and LoadVoted loads the
+  /// accepted result. Metrics cover this instance only.
+  Status Execute(std::vector<Row>* voter_output) {
     const RetryPolicy& policy = config_.retry;
     const size_t max_attempts =
         config_.redundancy > 1 ? 1 : std::max<size_t>(1, policy.max_attempts);
     metrics_.streaming = config_.streaming;
-    if (StreamingInlineLoad()) {
-      if (config_.resume.has_load_base) {
-        // Cross-process resume: the baseline journaled before the flow's
-        // first load. Re-reading the target here would count rows a dead
-        // incarnation durably landed as pre-existing and re-append them.
-        load_base_rows_ = config_.resume.load_base_rows;
-      } else {
-        // Baseline for cross-attempt incremental restart: rows beyond this
-        // count are ours, durably loaded by an earlier (failed) attempt.
-        QOX_ASSIGN_OR_RETURN(load_base_rows_, flow_.target->NumRows());
-      }
-    }
     if (!memory_budget_.unlimited() && journal_ != nullptr) {
       // Durable before any spill write: a SIGKILL mid-spill must leave the
       // successor a pointer to the orphaned `.spill.tmp` files.
@@ -175,13 +166,17 @@ class FlowRunner {
       // Memory accounting likewise: a failed attempt's operators may die
       // before releasing their charges.
       memory_budget_.ResetUsage();
+      // Rows earlier attempts shed stay in the ledger and are skipped, not
+      // shed again, so the successful attempt's count does not hold them.
+      const size_t shed_before = metrics_.rows_shed;
       const int resume_cut =
           FindResumeCut(static_cast<int>(NumOps()) + 1);
       if (journal_ != nullptr) {
         QOX_RETURN_IF_ERROR(journal_->RecordAttemptStart(
             attempt, config_.streaming, resume_cut));
       }
-      const Status st = RunAttempt(static_cast<int>(attempt), resume_cut, out);
+      const Status st =
+          RunAttempt(static_cast<int>(attempt), resume_cut, voter_output);
       // Spill runs are strictly intra-attempt temporaries: delete them on
       // every exit from an attempt, successful or not (best effort on the
       // failure path — a dangling file must not mask the attempt verdict;
@@ -191,7 +186,7 @@ class FlowRunner {
         // Containment counters are reported for the successful attempt only
         // (failed attempts' contained rows were rework, not output).
         metrics_.rows_skipped += budget_state_.skipped();
-        metrics_.rows_quarantined += budget_state_.quarantined();
+        metrics_.rows_quarantined += budget_state_.quarantined() + shed_before;
         metrics_.mem_high_water_bytes = memory_budget_.high_water();
         metrics_.dim_cache_builds = dim_cache_builds_.load();
         metrics_.dim_cache_hits = dim_cache_hits_.load();
@@ -214,17 +209,7 @@ class FlowRunner {
         (void)journal_->RecordAttemptEnd(attempt,
                                          StatusCodeName(st.code()));
       }
-      // Only transient failures consume the retry budget; permanent errors
-      // (bad schema, corrupted data, real I/O errors) fail the run at once.
-      // Under ResourcePolicy::kPauseRetry, resource exhaustion (disk full
-      // at a spill or write boundary) is reclassified transient: pause for
-      // the backoff — modelling "wait for the operator to free space" —
-      // and retry.
-      const bool retryable =
-          IsTransient(st) ||
-          (config_.resource_policy == ResourcePolicy::kPauseRetry &&
-           st.code() == StatusCode::kResourceExhausted);
-      if (!retryable || attempt >= max_attempts) return st;
+      if (!Retryable(st) || attempt >= max_attempts) return st;
       ++metrics_.retries_by_cause[StatusCodeName(st.code())];
       // Lost work = rework: the part of the attempt NOT durably saved by
       // a recovery point written during it.
@@ -235,11 +220,51 @@ class FlowRunner {
     }
   }
 
+  /// Loads the voted output of a redundant run through the same load
+  /// stage, fed by a replay of the accepted rows on a phased StageSet. The
+  /// flow's RetryPolicy retries a failed load; each retry skips the prefix
+  /// already durable in the target.
+  Status LoadVoted(const std::vector<Row>& rows) {
+    const RetryPolicy& policy = config_.retry;
+    const size_t max_attempts = std::max<size_t>(1, policy.max_attempts);
+    const size_t quarantined_before = budget_state_.quarantined();
+    for (size_t attempt = 1;; ++attempt) {
+      StageSet stages(exec_, StageDispatch::kPhased);
+      BatchChannelPtr in = stages.MakeChannel(config_.channel_capacity);
+      const size_t vote_node = plan_.replica_group_node();
+      SpawnReplayStage(&stages, in, rows, NumOps(),
+                       plan_.nodes()[vote_node].label, vote_node);
+      SpawnLoadStage(&stages, in, static_cast<int>(attempt));
+      const Status st = JoinStages(&stages);
+      if (st.ok()) {
+        metrics_.rows_quarantined +=
+            budget_state_.quarantined() - quarantined_before;
+        return Status::OK();
+      }
+      if (st.IsInjectedFailure()) ++metrics_.failures_injected;
+      if (!Retryable(st) || attempt >= max_attempts) return st;
+      ++metrics_.retries_by_cause[StatusCodeName(st.code())];
+      WaitBackoff(policy, attempt, &backoff_rng_, &metrics_);
+    }
+  }
+
   RunMetrics& metrics() { return metrics_; }
   size_t rejected() const { return rejected_.load(); }
 
  private:
   size_t NumOps() const { return flow_.transforms.size(); }
+
+  /// Whether a failed attempt may run again. Only transient failures
+  /// consume the retry budget; permanent errors (bad schema, corrupted
+  /// data, real I/O errors) fail the run at once. Under
+  /// ResourcePolicy::kPauseRetry, resource exhaustion (disk full at a
+  /// spill or write boundary) is reclassified transient: pause for the
+  /// backoff — modelling "wait for the operator to free space" — and retry.
+  bool Retryable(const Status& st) const {
+    return IsTransient(st) ||
+           (config_.resource_policy == ResourcePolicy::kPauseRetry &&
+            st.code() == StatusCode::kResourceExhausted);
+  }
 
   /// Points a pipeline at the flow's shared containment state. Every
   /// pipeline of an attempt — transform stages and partition branches —
@@ -345,8 +370,8 @@ class FlowRunner {
   // Every attempt is wired as a dataflow of stages connected by channels
   // (engine/streaming.h): source (extract, or recovery-point replay) →
   // transform units exactly as the plan splits them → recovery-point
-  // barriers → sink (inline load, or a collector handing the output to the
-  // voter and LoadWithRetry). The StageSet's dispatch policy decides how
+  // barriers → sink (the load stage, or a collector handing the output to
+  // the voter). The StageSet's dispatch policy decides how
   // the stages run: pipelined in streaming mode, section-serial in phased
   // mode. Stage bodies may run on pool threads; they never touch metrics_
   // except under stage_mu_, and phase counters are attributed from the
@@ -474,18 +499,20 @@ class FlowRunner {
           }));
       stats->channel_high_water = out->stats().high_water;
       out->Close();
+      source_rows_ = seen;
       return Status::OK();
     });
   }
 
-  /// Source stage variant: replays recovery-point rows into the dataflow.
-  /// Stands in for the extract node, so it reports under its plan id.
+  /// Source stage variant: replays materialized rows of cut `cut` into the
+  /// dataflow — a recovery point standing in for the extract node, or the
+  /// voted output standing in for the vote node. Reports under `node_id`.
   void SpawnReplayStage(StageSet* stages, BatchChannelPtr out,
-                        std::vector<Row> rows, size_t cut) {
+                        std::vector<Row> rows, size_t cut, std::string name,
+                        size_t node_id) {
     auto replay = std::make_shared<std::vector<Row>>(std::move(rows));
-    const size_t node_id = plan_.extract_node();
     stages->Spawn(
-        "replay",
+        std::move(name),
         [this, out, replay, cut, node_id](StageStats* stats) -> Status {
           stats->node_id = static_cast<int64_t>(node_id);
           RowBatch acc(cut_schemas_[cut]);
@@ -758,9 +785,9 @@ class FlowRunner {
     return FlushBatch(&acc, out, stats);
   }
 
-  /// Terminal stage when the runner does not load inline: materializes the
-  /// dataflow output (the caller's `*out` buffer, cleared per attempt) for
-  /// the redundancy voter and LoadWithRetry.
+  /// Terminal stage of a redundant instance: materializes the dataflow
+  /// output (the caller's `*out` buffer, cleared per attempt) for the
+  /// redundancy voter.
   void SpawnCollectStage(StageSet* stages, BatchChannelPtr in,
                          std::vector<Row>* out) {
     const size_t node_id = plan_.sink_node();
@@ -790,18 +817,46 @@ class FlowRunner {
     return rows_now > load_base_rows_ ? rows_now - load_base_rows_ : 0;
   }
 
-  /// Terminal stage, inline load: appends arriving batches to the target,
-  /// skipping the prefix a prior attempt already made durable. Stage
-  /// wiring and merges are deterministic, so rows reach the sink in the
-  /// same order every attempt and the durable rows are exactly a prefix
-  /// of this attempt's arrival sequence (torn writes included — the skip
-  /// is recomputed from the target's row count).
+  /// Terminal stage, and the only code that appends to the flow target:
+  /// appends arriving batches, skipping the prefix earlier attempts already
+  /// disposed of — rows durable in the target plus rows shed to the
+  /// ledger. Stage wiring and merges are deterministic, so rows reach the
+  /// sink in the same order every attempt and that prefix is exactly a
+  /// prefix of this attempt's arrival sequence (torn writes included — the
+  /// durable count is re-read from the target after a failed attempt).
   void SpawnLoadStage(StageSet* stages, BatchChannelPtr in, int attempt) {
     const size_t node_id = plan_.load_node();
-    stages->Spawn("load", [this, in, attempt,
-                           node_id](StageStats* stats) -> Status {
+    // A phased stage starts once its input is closed: the output is
+    // complete and every transform has drained.
+    const bool input_closed = stages->dispatch() == StageDispatch::kPhased;
+    stages->Spawn("load", [this, in, attempt, node_id,
+                           input_closed](StageStats* stats) -> Status {
       stats->node_id = static_cast<int64_t>(node_id);
-      QOX_ASSIGN_OR_RETURN(const size_t skip, FlowRowsDurable());
+      // Load progress is reported against the true output size when it is
+      // known; a pipelined sink reports an unknown total, so the injector
+      // fires at_fraction > 0 load specs on the first flush after rows
+      // flowed (see FailureInjector::Check).
+      size_t rows_total = 0;
+      if (input_closed) {
+        rows_total = in->QueuedWeight(
+            [](const RowBatch& batch) { return batch.num_rows(); });
+        // Enforce the budget's fractional ceiling before anything lands:
+        // an over-budget attempt loads nothing.
+        QOX_RETURN_IF_ERROR(budget_state_.CheckFraction(source_rows_));
+      }
+      if (!flow_durable_.has_value()) {
+        QOX_ASSIGN_OR_RETURN(flow_durable_, FlowRowsDurable());
+      }
+      const size_t durable = *flow_durable_;
+      // Unknown again until this attempt succeeds: a failure may leave a
+      // torn prefix behind.
+      flow_durable_.reset();
+      if (!run_start_durable_.has_value()) run_start_durable_ = durable;
+      size_t skip = durable;
+      {
+        std::lock_guard<std::mutex> lock(stage_mu_);
+        skip += metrics_.rows_shed;
+      }
       size_t seen = 0;      // rows that reached the sink this attempt
       size_t appended = 0;  // rows durably landed in the target this attempt
       RowBatch acc(cut_schemas_.back());
@@ -809,14 +864,9 @@ class FlowRunner {
         if (acc.empty()) return Status::OK();
         Status st = Status::OK();
         if (config_.injector != nullptr) {
-          // Streaming cannot know the final output count up front, so load
-          // progress is reported with an unknown total: the injector fires
-          // at_fraction > 0 load specs on the first flush after rows
-          // flowed (see FailureInjector::Check; EXPERIMENTS.md notes the
-          // phased-vs-streaming comparability caveat).
           st = config_.injector->Check(instance_id_, attempt,
                                        FailureSpec::kAtLoad, seen,
-                                       /*rows_total=*/0);
+                                       rows_total);
         }
         if (st.ok()) st = flow_.target->Append(acc);
         if (st.ok()) {
@@ -831,9 +881,10 @@ class FlowRunner {
           // remainder is shed to the dead-letter ledger with provenance
           // and the stream continues.
           QOX_ASSIGN_OR_RETURN(const size_t flow_durable, FlowRowsDurable());
-          const size_t landed = flow_durable > skip + appended
-                                    ? flow_durable - (skip + appended)
-                                    : 0;
+          const size_t landed = std::min(
+              acc.num_rows(), flow_durable > durable + appended
+                                  ? flow_durable - (durable + appended)
+                                  : size_t{0});
           for (size_t i = landed; i < acc.num_rows(); ++i) {
             QOX_RETURN_IF_ERROR(ShedRow(acc.row(i), st));
           }
@@ -850,7 +901,7 @@ class FlowRunner {
         ++stats->batches;
         for (Row& row : item->rows()) {
           ++seen;
-          if (seen <= skip) continue;  // durable from a prior attempt
+          if (seen <= skip) continue;  // disposed of by a prior attempt
           acc.Append(std::move(row));
           if (acc.num_rows() >= config_.batch_size) {
             QOX_RETURN_IF_ERROR(flush());
@@ -859,9 +910,10 @@ class FlowRunner {
       }
       QOX_RETURN_IF_ERROR(flush());
       stats->rows = seen;
+      flow_durable_ = durable + appended;
       std::lock_guard<std::mutex> lock(stage_mu_);
-      metrics_.rows_loaded += seen;
-      loaded_inline_ = true;
+      // The target's growth across this Run.
+      metrics_.rows_loaded = *flow_durable_ - *run_start_durable_;
       return Status::OK();
     });
   }
@@ -885,15 +937,29 @@ class FlowRunner {
         metrics_.load_micros += s.busy_micros;
       }
       // "rp.cut*" barriers: the persist cost is self-accounted by WriteRp;
-      // "collect" hands the output to the load phase, not a flow phase.
+      // "collect" and the vote replay hand the output to the voter and the
+      // load, not a flow phase.
     }
+  }
+
+  /// Joins `stages`, charges their busy time to the phase counters and
+  /// keeps their stats. Returns the winning stage status.
+  Status JoinStages(StageSet* stages) {
+    std::vector<StageStats> stage_stats;
+    const Status st = stages->Join(&stage_stats);
+    AttributeStagePhases(stage_stats);
+    for (StageStats& s : stage_stats) {
+      metrics_.stage_stats.push_back(std::move(s));
+    }
+    return st;
   }
 
   /// One attempt: wires the plan's stage graph (one channel per edge) and
   /// runs it under the configured dispatch policy — pipelined when
   /// streaming, section-serial when phased. Resumes from the newest
   /// verifiable recovery point and persists at every barrier cut.
-  Status RunAttempt(int attempt, int resume_cut, std::vector<Row>* out) {
+  Status RunAttempt(int attempt, int resume_cut,
+                    std::vector<Row>* voter_output) {
     attempt_start_micros_ = NowMicros();
     durable_elapsed_micros_ = 0;
     std::vector<Row> resume_rows;
@@ -901,12 +967,14 @@ class FlowRunner {
                          ResumeFromRp(resume_cut, &resume_rows));
     size_t current_cut =
         resumed_cut >= 0 ? static_cast<size_t>(resumed_cut) : 0;
-    // The budget's fraction check, failure fractions and pipelined stages
-    // need a row-count denominator before any rows flow: the replayed
-    // cut's size, or the source size (queried once — counting a file's
-    // rows reads it).
+    // The budget's fraction check divides by the rows the source stage
+    // emits; a replay emits exactly the recovered cut.
+    source_rows_ = resume_rows.size();
+    // Failure fractions need a denominator before any rows flow: the
+    // replayed cut's size, or the source size — queried only for an
+    // injector, since counting a file's rows reads it.
     size_t expected_rows = resume_rows.size();
-    if (resumed_cut < 0) {
+    if (resumed_cut < 0 && config_.injector != nullptr) {
       QOX_ASSIGN_OR_RETURN(expected_rows, flow_.source->NumRows());
     }
 
@@ -914,7 +982,8 @@ class FlowRunner {
                                              : StageDispatch::kPhased);
     BatchChannelPtr cursor = stages.MakeChannel(config_.channel_capacity);
     if (resumed_cut >= 0) {
-      SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut);
+      SpawnReplayStage(&stages, cursor, std::move(resume_rows), current_cut,
+                       "replay", plan_.extract_node());
     } else {
       SpawnExtractStage(&stages, cursor, attempt, expected_rows);
       if (plan_.rp_after_extract()) {
@@ -947,22 +1016,17 @@ class FlowRunner {
                                    section.barrier_node);
       }
     }
-    if (StreamingInlineLoad()) {
-      SpawnLoadStage(&stages, cursor, attempt);
+    if (voter_output != nullptr) {
+      SpawnCollectStage(&stages, cursor, voter_output);
     } else {
-      SpawnCollectStage(&stages, cursor, out);
+      SpawnLoadStage(&stages, cursor, attempt);
     }
-    std::vector<StageStats> stage_stats;
-    const Status st = stages.Join(&stage_stats);
-    AttributeStagePhases(stage_stats);
-    for (StageStats& s : stage_stats) {
-      metrics_.stage_stats.push_back(std::move(s));
-    }
-    QOX_RETURN_IF_ERROR(st);
-    // Transforms have drained: enforce the budget's fractional ceiling
-    // before the output leaves the attempt. With an inline-load sink the
-    // rows are already durable by now — a caveat EXPERIMENTS.md documents.
-    return budget_state_.CheckFraction(expected_rows);
+    QOX_RETURN_IF_ERROR(JoinStages(&stages));
+    // Every stage has drained: enforce the budget's fractional ceiling,
+    // load sheds included. A phased load stage already checked the
+    // transforms' share before appending; a pipelined one cannot, so its
+    // rows are durable by now — a caveat EXPERIMENTS.md documents.
+    return budget_state_.CheckFraction(source_rows_);
   }
 
   const FlowSpec& flow_;
@@ -1002,124 +1066,19 @@ class FlowRunner {
   /// Serializes metrics_ (and WriteRp's durable-progress bookkeeping)
   /// across stage bodies, which may run on pool threads.
   std::mutex stage_mu_;
-  /// Streaming inline load: target row count before the first attempt.
-  size_t load_base_rows_ = 0;
-  bool loaded_inline_ = false;
+  /// Rows the source stage of the current attempt emitted.
+  size_t source_rows_ = 0;
+  /// Target row count before the flow's first load (LoadBase::rows).
+  const size_t load_base_rows_;
+  /// Flow rows known durable in the target; empty when it must be re-read
+  /// (a resumed run, or after a load stage failed). Touched by the load
+  /// stage only.
+  std::optional<size_t> flow_durable_;
+  /// Flow rows durable when this Run's first load stage started.
+  std::optional<size_t> run_start_durable_;
   /// Durable lifecycle WAL; null when not journaling (or instance > 0).
   FlowJournal* journal_ = nullptr;
 };
-
-/// Loads `rows` into the target with transient-failure retry: rows already
-/// durably appended are not re-appended (incremental restart). Progress is
-/// re-derived from the target after each failed append, so a torn write
-/// that durably landed part of a batch is not loaded twice.
-Status LoadWithRetry(const FlowSpec& flow, const ExecutionConfig& config,
-                     const std::vector<Row>& rows, const Schema& schema,
-                     RunMetrics* metrics) {
-  const StopWatch timer;
-  const RetryPolicy& policy = config.retry;
-  const size_t max_attempts = std::max<size_t>(1, policy.max_attempts);
-  Rng backoff_rng(policy.jitter_seed ^ 0x10adULL);
-  size_t base_rows = 0;
-  size_t loaded = 0;
-  if (config.resume.has_load_base) {
-    // Cross-process resume: the journaled pre-flow baseline. Rows beyond
-    // it are a durable prefix of THIS flow's (deterministic) output,
-    // landed by a dead incarnation — skip them instead of re-appending.
-    base_rows = config.resume.load_base_rows;
-    QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-    if (rows_now > base_rows) {
-      loaded = std::min(rows.size(), rows_now - base_rows);
-    }
-  } else {
-    QOX_ASSIGN_OR_RETURN(base_rows, flow.target->NumRows());
-  }
-  const size_t already_loaded = loaded;
-  size_t shed = 0;  // rows diverted to the dead-letter ledger, not landed
-  size_t attempt = 1;
-  while (loaded < rows.size()) {
-    const size_t batch_begin = loaded;
-    const size_t n = std::min(config.batch_size, rows.size() - loaded);
-    Status st = Status::OK();
-    if (config.injector != nullptr) {
-      st = config.injector->Check(/*instance=*/0, static_cast<int>(attempt),
-                                  FailureSpec::kAtLoad, loaded + n,
-                                  rows.size());
-    }
-    if (st.ok()) {
-      RowBatch batch(schema);
-      for (size_t i = 0; i < n; ++i) batch.Append(rows[loaded + i]);
-      st = flow.target->Append(batch);
-      if (st.ok()) {
-        loaded += n;
-        continue;
-      }
-    }
-    if (st.IsInjectedFailure()) ++metrics->failures_injected;
-    if (st.code() == StatusCode::kResourceExhausted &&
-        config.resource_policy == ResourcePolicy::kShedToQuarantine) {
-      // Degraded load: keep whatever prefix of the batch the target
-      // durably landed, shed the remainder to the dead-letter ledger with
-      // provenance, and move on. The flow error budget caps the shedding.
-      QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-      if (rows_now > base_rows) {
-        loaded = std::max(loaded, rows_now - base_rows);
-      }
-      for (size_t i = loaded; i < batch_begin + n; ++i) {
-        if (config.dead_letter != nullptr) {
-          QuarantineRecord record;
-          record.flow_id = flow.id;
-          record.op_index = static_cast<int64_t>(flow.transforms.size());
-          record.op_name = "load";
-          record.attempt = static_cast<int64_t>(attempt);
-          record.row_index = static_cast<int64_t>(i);
-          record.status_code = StatusCodeName(st.code());
-          record.status_message = st.message();
-          record.payload = EncodeQuarantinePayload(rows[i]);
-          QOX_RETURN_IF_ERROR(config.dead_letter->Quarantine(record));
-        }
-        ++metrics->rows_shed;
-        ++metrics->rows_quarantined;
-        ++shed;
-      }
-      loaded = batch_begin + n;
-      if (metrics->rows_skipped + metrics->rows_quarantined >
-          config.error_budget.max_rows) {
-        metrics->load_micros += timer.ElapsedMicros();
-        return Status::ErrorBudgetExceeded(
-            "error budget exhausted: " +
-            std::to_string(metrics->rows_skipped +
-                           metrics->rows_quarantined) +
-            " rows contained (max " +
-            std::to_string(config.error_budget.max_rows) +
-            "), last shed at the load boundary");
-      }
-      continue;
-    }
-    // kPauseRetry reclassifies resource exhaustion as transient: back off
-    // (waiting for the operator to free disk) and retry the batch.
-    const bool retryable =
-        IsTransient(st) ||
-        (config.resource_policy == ResourcePolicy::kPauseRetry &&
-         st.code() == StatusCode::kResourceExhausted);
-    if (!retryable || attempt >= max_attempts) {
-      metrics->load_micros += timer.ElapsedMicros();
-      return st;
-    }
-    ++metrics->retries_by_cause[StatusCodeName(st.code())];
-    // A torn write may have durably appended a prefix of the failed batch;
-    // resync progress from the target so those rows are not re-loaded.
-    QOX_ASSIGN_OR_RETURN(const size_t rows_now, flow.target->NumRows());
-    if (rows_now > base_rows) {
-      loaded = std::max(loaded, rows_now - base_rows);
-    }
-    WaitBackoff(policy, attempt, &backoff_rng, metrics);
-    ++attempt;
-  }
-  metrics->load_micros += timer.ElapsedMicros();
-  metrics->rows_loaded += rows.size() - already_loaded - shed;
-  return Status::OK();
-}
 
 /// Builds the planner input from flow + config. Blocking flags come from
 /// freshly instantiated operators, so the plan's soft barriers match the
@@ -1146,17 +1105,17 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
   return input;
 }
 
-/// Scheduler dispatch, redundancy 1: a single FlowRunner with retries.
+/// Scheduler dispatch, redundancy 1: a single FlowRunner with retries,
+/// every attempt ending in the load stage.
 Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
                          const ExecutionPlan& plan,
                          const std::vector<Schema>& cut_schemas,
-                         const ExecContext& exec, std::vector<Row>* output,
-                         bool* loaded_inline, RunMetrics* metrics) {
+                         const ExecContext& exec, LoadBase base,
+                         RunMetrics* metrics) {
   std::atomic<bool> cancelled{false};
   FlowRunner runner(flow, config, plan, cut_schemas, exec, /*instance_id=*/0,
-                    &cancelled);
-  QOX_RETURN_IF_ERROR(runner.RunToOutput(output));
-  *loaded_inline = runner.loaded_inline();
+                    &cancelled, base);
+  QOX_RETURN_IF_ERROR(runner.Execute(/*voter_output=*/nullptr));
   *metrics = runner.metrics();
   metrics->rows_rejected = runner.rejected();
   return Status::OK();
@@ -1164,12 +1123,12 @@ Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
 
 /// Scheduler dispatch, n-modular redundancy: k instances race over the
 /// same plan; a majority vote over the output fingerprints accepts a
-/// result and cancels the stragglers.
+/// result and cancels the stragglers, and the accepted instance loads it.
 Status RunRedundantInstances(const FlowSpec& flow,
                              const ExecutionConfig& config,
                              const ExecutionPlan& plan,
                              const std::vector<Schema>& cut_schemas,
-                             const ExecContext& exec, std::vector<Row>* output,
+                             const ExecContext& exec, LoadBase base,
                              RunMetrics* metrics) {
   const size_t k = config.redundancy;
   const size_t majority = k / 2 + 1;
@@ -1187,7 +1146,7 @@ Status RunRedundantInstances(const FlowSpec& flow,
   for (size_t i = 0; i < k; ++i) {
     slots[i].runner = std::make_unique<FlowRunner>(
         flow, config, plan, cut_schemas, exec, static_cast<int>(i),
-        &cancelled);
+        &cancelled, base);
   }
   // Instance drivers are long-lived and park on retries/backoff, so they
   // run as blocking tasks (expansion workers), never starving core workers
@@ -1197,7 +1156,7 @@ Status RunRedundantInstances(const FlowSpec& flow,
     exec.Post(
         [&, i] {
           InstanceSlot& slot = slots[i];
-          slot.status = slot.runner->RunToOutput(&slot.output);
+          slot.status = slot.runner->Execute(&slot.output);
           std::lock_guard<std::mutex> lock(vote_mu);
           slot.done = true;
           ++done_count;
@@ -1239,9 +1198,10 @@ Status RunRedundantInstances(const FlowSpec& flow,
     return Status::Internal("redundancy vote failed: no majority among " +
                             std::to_string(k) + " instances");
   }
-  *output = std::move(slots[accepted_instance].output);
-  *metrics = slots[accepted_instance].runner->metrics();
-  metrics->rows_rejected = slots[accepted_instance].runner->rejected();
+  InstanceSlot& accepted = slots[accepted_instance];
+  QOX_RETURN_IF_ERROR(accepted.runner->LoadVoted(accepted.output));
+  *metrics = accepted.runner->metrics();
+  metrics->rows_rejected = accepted.runner->rejected();
   // Failures that killed minority instances still count.
   size_t failures = 0;
   for (const InstanceSlot& slot : slots) {
@@ -1356,15 +1316,6 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
       QOX_RETURN_IF_ERROR(SpillManager::CleanupDir(dir).status());
     }
   }
-  if (config.journal != nullptr && !config.resume.has_load_base) {
-    // First incarnation of a journaled flow: seal the pre-load target row
-    // count before any work, so every successor can tell durable flow
-    // output apart from pre-existing target rows.
-    QOX_ASSIGN_OR_RETURN(const size_t base, flow.target->NumRows());
-    QOX_RETURN_IF_ERROR(config.journal->RecordLoadBase(base));
-    config.resume.has_load_base = true;
-    config.resume.load_base_rows = base;
-  }
   const size_t rp_bytes_before =
       config.rp_store != nullptr ? config.rp_store->total_bytes_written() : 0;
   // Validate, lower to the shared ExecutionPlan IR, then hand the plan to
@@ -1373,6 +1324,19 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                        BindChain(flow, config));
   QOX_ASSIGN_OR_RETURN(const ExecutionPlan plan,
                        ExecutionPlan::Lower(MakePlanInput(flow, config)));
+  // The pre-flow target row count, read once per run: a resumed
+  // incarnation inherits the journaled one (re-reading would count rows a
+  // dead incarnation durably landed as pre-existing and re-append them).
+  LoadBase base{config.resume.load_base_rows, !config.resume.has_load_base};
+  if (base.fresh) {
+    QOX_ASSIGN_OR_RETURN(base.rows, flow.target->NumRows());
+    if (config.journal != nullptr) {
+      // First incarnation of a journaled flow: seal the baseline before
+      // any work, so every successor can tell durable flow output apart
+      // from pre-existing target rows.
+      QOX_RETURN_IF_ERROR(config.journal->RecordLoadBase(base.rows));
+    }
+  }
   // Execution substrate: the caller's shared pool (FlowService) or a
   // private one sized by num_threads — the solo behavior. Either way every
   // task of this flow carries the flow's absolute deadline, so a shared
@@ -1393,25 +1357,16 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
   const ExecContext exec(pool, tag);
 
   RunMetrics metrics;
-  std::vector<Row> accepted_output;
-  bool loaded_inline = false;
   if (config.redundancy <= 1) {
     QOX_RETURN_IF_ERROR(RunSingleInstance(flow, config, plan, cut_schemas,
-                                          exec, &accepted_output,
-                                          &loaded_inline, &metrics));
+                                          exec, base, &metrics));
   } else {
     QOX_RETURN_IF_ERROR(RunRedundantInstances(flow, config, plan, cut_schemas,
-                                              exec, &accepted_output,
-                                              &metrics));
+                                              exec, base, &metrics));
   }
   metrics.threads = config.num_threads;
   metrics.partitions = config.parallel.partitions;
   metrics.redundancy = config.redundancy;
-
-  if (!loaded_inline) {
-    QOX_RETURN_IF_ERROR(LoadWithRetry(flow, config, accepted_output,
-                                      cut_schemas.back(), &metrics));
-  }
   if (flow.post_success) {
     QOX_RETURN_IF_ERROR(flow.post_success());
   }

@@ -131,12 +131,12 @@ struct ExecutionConfig {
   /// run as concurrent stages connected by bounded Channel<RowBatch> edges
   /// (DESIGN.md "Streaming dataflow"), so batches flow end to end without
   /// full materialization except at blocking operators and recovery-point
-  /// cuts. With redundancy == 1 the load runs inline as the dataflow sink
-  /// (a failed load consumes a flow attempt and the next attempt skips
-  /// rows already durable in the target). Output and metrics semantics
-  /// match phased dispatch of the same stage graph; phase timings become
-  /// per-stage busy-time aggregates (stages overlap, so they no longer sum
-  /// to total).
+  /// cuts. Under either dispatch policy the load is the dataflow's last
+  /// stage (a failed load consumes a flow attempt and the next attempt
+  /// skips rows already durable in the target). Output and metrics
+  /// semantics match phased dispatch of the same stage graph; phase
+  /// timings become per-stage busy-time aggregates (stages overlap, so
+  /// they no longer sum to total).
   bool streaming = false;
   /// Bounded capacity, in batches, of every streaming channel (the
   /// backpressure window between adjacent stages). Values < 1 act as 1.

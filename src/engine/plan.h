@@ -219,8 +219,9 @@ class ExecutionPlan {
   size_t replica_group_node() const { return replica_group_node_; }
   size_t load_node() const { return load_node_; }
   /// The dataflow's terminal per-instance node: kCollect feeding the voter
-  /// when redundant, else kLoad (inline in streaming mode; phased runs
-  /// collect into LoadWithRetry under this node's id).
+  /// when redundant, else kLoad — the load stage every attempt ends in,
+  /// under both dispatch policies. A redundant run loads the voted output
+  /// through that same stage.
   size_t sink_node() const {
     return collect_node_ != kNoNode ? collect_node_ : load_node_;
   }

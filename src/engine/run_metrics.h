@@ -134,11 +134,15 @@ struct RunMetrics {
 
   // --- volumes -------------------------------------------------------------
   size_t rows_extracted = 0;
+  /// The target's row growth across the run: rows shed to the ledger, and
+  /// rows a dead incarnation already made durable, are not counted.
   size_t rows_loaded = 0;
   size_t rows_rejected = 0;  ///< filtered/unresolved rows routed aside
   /// Row-level containment (engine/error_policy.h), counted on the
   /// successful attempt only: rows dropped under ErrorPolicy::kSkip and
-  /// rows routed to the dead-letter store under ErrorPolicy::kQuarantine.
+  /// rows routed to the dead-letter store under ErrorPolicy::kQuarantine
+  /// (plus rows earlier attempts shed at the load boundary: they stay in
+  /// the ledger and are not shed again).
   size_t rows_skipped = 0;
   size_t rows_quarantined = 0;
   size_t rp_bytes_written = 0;

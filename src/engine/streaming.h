@@ -2,7 +2,7 @@
 //
 // Every attempt of a flow runs as a dataflow of stages (extract, transform
 // pipelines, partition router and branches, merges, recovery-point
-// barriers, collect or load) connected by Channel<RowBatch> edges. The
+// barriers, load or a redundant instance's collect) connected by Channel<RowBatch> edges. The
 // StageSet owns the wiring: it creates the channels, runs the stage bodies
 // through its ExecContext, and guarantees clean unwinding when any stage
 // fails. It has one scheduler and two dispatch policies:
@@ -132,6 +132,8 @@ class StageSet {
 
   StageSet(const StageSet&) = delete;
   StageSet& operator=(const StageSet&) = delete;
+
+  StageDispatch dispatch() const { return dispatch_; }
 
   /// Creates a channel registered for poison-on-failure: bounded to
   /// `capacity` batches when pipelined, unbounded when phased. If a stage

@@ -30,13 +30,17 @@ using testing_util::SimpleSchema;
 
 /// Counts Scan calls: one extraction per attempt, so the count exposes how
 /// many attempts the executor really ran even when Run() returns an error
-/// (RunMetrics are unavailable on failure).
+/// (RunMetrics are unavailable on failure). Also counts NumRows calls,
+/// which read a whole file or regenerate a CDC slice for some stores.
 class ScanCountingStore : public DataStore {
  public:
   explicit ScanCountingStore(DataStorePtr inner) : inner_(std::move(inner)) {}
   const std::string& name() const override { return inner_->name(); }
   const Schema& schema() const override { return inner_->schema(); }
-  Result<size_t> NumRows() const override { return inner_->NumRows(); }
+  Result<size_t> NumRows() const override {
+    ++num_rows_calls_;
+    return inner_->NumRows();
+  }
   Status Scan(size_t batch_size,
               const std::function<Status(RowBatch&)>& consumer)
       const override {
@@ -48,10 +52,12 @@ class ScanCountingStore : public DataStore {
   }
   Status Truncate() override { return inner_->Truncate(); }
   size_t scans() const { return scans_; }
+  size_t num_rows_calls() const { return num_rows_calls_; }
 
  private:
   const DataStorePtr inner_;
   mutable std::atomic<size_t> scans_{0};
+  mutable std::atomic<size_t> num_rows_calls_{0};
 };
 
 FlowSpec MakeFlow(DataStorePtr source, DataStorePtr target) {
@@ -466,6 +472,8 @@ TEST(ErrorBudgetTest, MaxFractionAbortsAfterTheAttemptDrains) {
                     config);
   ASSERT_FALSE(status_run.ok());
   EXPECT_EQ(status_run.status().code(), StatusCode::kErrorBudgetExceeded);
+  // The phased load checks the fraction before appending anything.
+  EXPECT_EQ(target->NumRows().value(), 0u);
 
   // A looser fraction admits the same run.
   config.error_budget.max_fraction = 0.2;
@@ -476,6 +484,61 @@ TEST(ErrorBudgetTest, MaxFractionAbortsAfterTheAttemptDrains) {
   ASSERT_TRUE(ok_run.ok()) << ok_run.status();
   EXPECT_EQ(ok_run.value().rows_skipped, 10u);
 }
+
+// Without an injector nothing needs the source's row count up front: the
+// fraction budget divides by the rows extraction emitted.
+class SourceRowCountTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SourceRowCountTest, InjectorFreeRunNeverCountsTheSource) {
+  const Schema dim_schema({{"code", DataType::kString, false},
+                           {"desc", DataType::kString, false}});
+  auto dimension = std::make_shared<MemTable>("dim", dim_schema);
+  ASSERT_TRUE(dimension
+                  ->Append(RowBatch(
+                      dim_schema,
+                      {Row({Value::String("a"), Value::String("alpha")}),
+                       Row({Value::String("b"), Value::String("beta")})}))
+                  .ok());
+  // Categories cycle a,b,c: 4 of 12 rows miss the dimension (1/3).
+  const auto run = [&](double max_fraction, size_t* num_rows_calls) {
+    auto counting = std::make_shared<ScanCountingStore>(
+        MakeSource(SimpleSchema(), SimpleRows(12)));
+    FlowSpec flow;
+    flow.id = "count_flow";
+    flow.source = counting;
+    flow.transforms.push_back([dimension]() -> OperatorPtr {
+      return std::make_unique<LookupOp>(
+          "lkp", dimension, "category", "code",
+          std::vector<std::string>{"desc"}, LookupMissPolicy::kError);
+    });
+    LookupOp bind_probe("lkp", dimension, "category", "code", {"desc"},
+                        LookupMissPolicy::kError);
+    flow.target = std::make_shared<MemTable>(
+        "wh", bind_probe.Bind(SimpleSchema()).value());
+    ExecutionConfig config;
+    config.streaming = GetParam();
+    config.error_policies = {ErrorPolicy::kSkip};
+    config.error_budget.max_fraction = max_fraction;
+    Result<RunMetrics> result = Executor::Run(flow, config);
+    *num_rows_calls = counting->num_rows_calls();
+    return result;
+  };
+  size_t calls = 0;
+  const Result<RunMetrics> over_budget = run(0.25, &calls);
+  ASSERT_FALSE(over_budget.ok());
+  EXPECT_EQ(over_budget.status().code(), StatusCode::kErrorBudgetExceeded);
+  EXPECT_EQ(calls, 0u);
+
+  const Result<RunMetrics> ok_run = run(0.5, &calls);
+  ASSERT_TRUE(ok_run.ok()) << ok_run.status();
+  EXPECT_EQ(ok_run.value().rows_skipped, 4u);
+  EXPECT_EQ(calls, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, SourceRowCountTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streaming" : "Phased";
+                         });
 
 TEST(ErrorBudgetTest, StreamingEnforcesTheSameBudget) {
   const std::vector<Row> input = SimpleRows(64);

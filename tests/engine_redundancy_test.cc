@@ -1,5 +1,6 @@
-// n-modular redundancy: majority voting, instance-failure tolerance, and
-// output equivalence with the non-redundant run (Sec. 3.3 / Fig. 7).
+// n-modular redundancy: majority voting, instance-failure tolerance,
+// output equivalence with the non-redundant run (Sec. 3.3 / Fig. 7), and
+// the post-vote load through a faulty target.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,8 @@
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
 #include "engine/ops/surrogate_key_op.h"
+#include "storage/dead_letter_store.h"
+#include "storage/faulty_store.h"
 #include "test_util.h"
 
 namespace qox {
@@ -16,8 +19,7 @@ using testing_util::SameMultiset;
 using testing_util::SimpleRows;
 using testing_util::SimpleSchema;
 
-FlowSpec MakeFlow(const DataStorePtr& source,
-                  const std::shared_ptr<MemTable>& target,
+FlowSpec MakeFlow(const DataStorePtr& source, const DataStorePtr& target,
                   const SurrogateKeyRegistryPtr& registry = nullptr) {
   FlowSpec spec;
   spec.id = "nmr_flow";
@@ -157,6 +159,86 @@ TEST(RedundancyTest, MetricsComeFromAcceptedInstance) {
   EXPECT_GT(metrics.value().extract_micros, 0);
   EXPECT_EQ(metrics.value().rows_loaded, target->NumRows().value());
 }
+
+// The voted output is loaded by the same load stage as a redundancy-1 run,
+// retried under the flow's RetryPolicy with the durable-prefix skip.
+class VotedLoadTest : public ::testing::TestWithParam<bool> {
+ protected:
+  std::vector<Row> CleanOutput(const DataStorePtr& source) {
+    auto clean = std::make_shared<MemTable>("clean", BoundSchema(false));
+    EXPECT_TRUE(Executor::Run(MakeFlow(source, clean), ExecutionConfig{}).ok());
+    return clean->ReadAll().value().rows();
+  }
+
+  ExecutionConfig Config() const {
+    ExecutionConfig config;
+    config.streaming = GetParam();
+    config.num_threads = 2;
+    config.redundancy = 3;
+    config.batch_size = 50;  // several appends per load
+    config.retry.max_attempts = 3;
+    config.retry.initial_backoff_micros = 0;
+    return config;
+  }
+};
+
+TEST_P(VotedLoadTest, TornAppendIsRetriedWithoutDuplicates) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(400));
+  const std::vector<Row> expected = CleanOutput(source);
+
+  auto warehouse = std::make_shared<MemTable>("wh", BoundSchema(false));
+  FaultPlan plan;
+  plan.append_fail_on_call = 2;
+  plan.torn_writes = true;  // half the failed batch lands durably
+  auto target = std::make_shared<FaultyStore>(warehouse, plan, /*seed=*/5);
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), Config());
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(target->append_faults_injected(), 1u);
+  EXPECT_EQ(metrics.value().TotalRetries(), 1u);
+  EXPECT_EQ(metrics.value().rows_loaded, expected.size());
+  EXPECT_EQ(warehouse->ReadAll().value().rows(), expected);
+}
+
+TEST_P(VotedLoadTest, ShedRowsLandInTheLedger) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(400));
+  const std::vector<Row> expected = CleanOutput(source);
+
+  auto warehouse = std::make_shared<MemTable>("wh", BoundSchema(false));
+  FaultPlan plan;
+  plan.append_fail_on_call = 2;
+  plan.disk_fault = DiskFaultKind::kEnospc;
+  auto target = std::make_shared<FaultyStore>(warehouse, plan, /*seed=*/5);
+  auto dlq = DeadLetterStore::InMemory("dlq");
+  ExecutionConfig config = Config();
+  config.resource_policy = ResourcePolicy::kShedToQuarantine;
+  config.dead_letter = dlq;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+
+  std::vector<Row> recovered = warehouse->ReadAll().value().rows();
+  const size_t loaded = recovered.size();
+  const std::vector<QuarantineRecord> records = dlq->ReadAll().value();
+  ASSERT_FALSE(records.empty());
+  for (const QuarantineRecord& record : records) {
+    EXPECT_EQ(record.op_name, "load");
+    recovered.push_back(
+        DecodeQuarantinePayload(record.payload, BoundSchema(false)).value());
+  }
+  EXPECT_EQ(metrics.value().rows_shed, records.size());
+  EXPECT_EQ(metrics.value().rows_quarantined, records.size());
+  EXPECT_EQ(metrics.value().rows_loaded, loaded);
+  EXPECT_EQ(loaded + records.size(), expected.size());
+  EXPECT_TRUE(SameMultiset(recovered, expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, VotedLoadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streaming" : "Phased";
+                         });
 
 }  // namespace
 }  // namespace qox

@@ -1,10 +1,13 @@
 // Streaming (pipelined) execution: output equivalence with phased mode
 // across partitioning configurations, recovery-point persistence and
-// resume, inline-load incremental restart, redundancy voting, and the
-// per-stage metrics the streaming executor reports.
+// resume, redundancy voting, and the per-stage metrics the streaming
+// executor reports. Both dispatch policies end every attempt in the one
+// load stage, so its incremental restart and row accounting are tested
+// under each.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "engine/executor.h"
@@ -12,6 +15,7 @@
 #include "engine/ops/function_op.h"
 #include "engine/ops/sort_op.h"
 #include "engine/streaming.h"
+#include "storage/dead_letter_store.h"
 #include "storage/faulty_store.h"
 #include "storage/recovery_store.h"
 #include "test_util.h"
@@ -125,6 +129,11 @@ class StreamingRecoveryTest : public ::testing::Test {
     rp_store_ = RecoveryPointStore::Open(dir_).value();
   }
 
+  void TearDown() override {
+    rp_store_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
   std::string dir_;
   RecoveryPointStorePtr rp_store_;
 };
@@ -161,20 +170,24 @@ TEST_F(StreamingRecoveryTest, ResumesFromRecoveryPointAfterInjectedFailure) {
   EXPECT_EQ(expected, target->ReadAll().value().rows());
 }
 
-TEST_F(StreamingRecoveryTest, InlineLoadRestartsIncrementally) {
+// A failed load consumes a flow attempt under either dispatch policy; the
+// next attempt skips the prefix already durable in the target.
+class LoadRestartTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LoadRestartTest, LoadRestartsIncrementally) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(400));
   const std::vector<Row> expected = RunPhased(source);
 
   // Target whose 2nd append fails transiently: the first attempt loads a
-  // prefix inline, aborts, and the retry must skip exactly that prefix.
+  // prefix, aborts, and the retry must skip exactly that prefix.
   auto inner = std::make_shared<MemTable>("tgt", BoundSchema());
   FaultPlan plan;
   plan.append_fail_on_call = 2;
   auto target = std::make_shared<FaultyStore>(inner, plan, /*seed=*/7);
 
   ExecutionConfig config;
-  config.streaming = true;
+  config.streaming = GetParam();
   config.batch_size = 64;  // several appends per run
   config.retry.max_attempts = 3;
   config.retry.initial_backoff_micros = 0;
@@ -187,7 +200,7 @@ TEST_F(StreamingRecoveryTest, InlineLoadRestartsIncrementally) {
   EXPECT_EQ(metrics.value().rows_loaded, expected.size());
 }
 
-TEST_F(StreamingRecoveryTest, TornWriteIsNotLoadedTwice) {
+TEST_P(LoadRestartTest, TornWriteIsNotLoadedTwice) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(300));
   const std::vector<Row> expected = RunPhased(source);
@@ -199,15 +212,65 @@ TEST_F(StreamingRecoveryTest, TornWriteIsNotLoadedTwice) {
   auto target = std::make_shared<FaultyStore>(inner, plan, /*seed=*/11);
 
   ExecutionConfig config;
-  config.streaming = true;
+  config.streaming = GetParam();
   config.batch_size = 50;
   config.retry.max_attempts = 3;
   config.retry.initial_backoff_micros = 0;
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().attempts, 2u);
   EXPECT_EQ(expected, inner->ReadAll().value().rows());
+  EXPECT_EQ(metrics.value().rows_loaded, expected.size());
 }
+
+TEST_P(LoadRestartTest, ShedRowsAreNotReloadedAfterARestart) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(300));
+  const std::vector<Row> expected = RunPhased(source);
+
+  // The 2nd append hits a full disk (its rows are shed to the ledger), the
+  // 4th fails transiently: the retry must skip the shed rows as well as
+  // the durable ones, or it re-appends rows the first attempt landed.
+  auto inner = std::make_shared<MemTable>("tgt", BoundSchema());
+  FaultPlan full;
+  full.append_fail_on_call = 2;
+  full.disk_fault = DiskFaultKind::kEnospc;
+  FaultPlan flaky;
+  flaky.append_fail_on_call = 4;
+  auto target = std::make_shared<FaultyStore>(
+      std::make_shared<FaultyStore>(inner, full, /*seed=*/1), flaky,
+      /*seed=*/2);
+  auto dlq = DeadLetterStore::InMemory("dlq");
+
+  ExecutionConfig config;
+  config.streaming = GetParam();
+  config.batch_size = 40;
+  config.resource_policy = ResourcePolicy::kShedToQuarantine;
+  config.dead_letter = dlq;
+  config.retry.max_attempts = 3;
+  config.retry.initial_backoff_micros = 0;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().attempts, 2u);
+  std::vector<Row> recovered = inner->ReadAll().value().rows();
+  EXPECT_EQ(metrics.value().rows_loaded, recovered.size());
+  const std::vector<QuarantineRecord> records = dlq->ReadAll().value();
+  EXPECT_EQ(records.size(), 40u);
+  EXPECT_EQ(metrics.value().rows_shed, 40u);
+  EXPECT_EQ(metrics.value().rows_quarantined, 40u);
+  for (const QuarantineRecord& record : records) {
+    recovered.push_back(
+        DecodeQuarantinePayload(record.payload, BoundSchema()).value());
+  }
+  EXPECT_TRUE(testing_util::SameMultiset(recovered, expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LoadRestartTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streaming" : "Phased";
+                         });
 
 TEST(StreamingExecutorTest, InjectedExtractFailureRetries) {
   const DataStorePtr source =
@@ -531,6 +594,60 @@ TEST_P(LoadBaseAboveTargetTest, LoadsEveryRow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LoadBaseAboveTargetTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streaming" : "Phased";
+                         });
+
+// rows_loaded has one definition in both dispatch policies: the target's
+// row growth across the Run — not counting rows shed to the ledger, nor
+// rows a dead incarnation had already made durable.
+class LoadAccountingTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LoadAccountingTest, RowsLoadedIsTargetGrowth) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(200));
+  const std::vector<Row> expected = RunPhased(source);
+  ASSERT_GT(expected.size(), 64u);
+
+  {
+    SCOPED_TRACE("disk full, rows shed to the ledger");
+    auto inner = std::make_shared<MemTable>("tgt", BoundSchema());
+    FaultPlan plan;
+    plan.append_fail_on_call = 2;
+    plan.disk_fault = DiskFaultKind::kEnospc;
+    auto target = std::make_shared<FaultyStore>(inner, plan, /*seed=*/3);
+    auto dlq = DeadLetterStore::InMemory("dlq");
+    ExecutionConfig config;
+    config.streaming = GetParam();
+    config.batch_size = 32;
+    config.resource_policy = ResourcePolicy::kShedToQuarantine;
+    config.dead_letter = dlq;
+    const Result<RunMetrics> metrics =
+        Executor::Run(MakeFlow(source, target), config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(metrics.value().rows_shed, 32u);
+    EXPECT_EQ(dlq->NumRecords().value(), 32u);
+    EXPECT_EQ(inner->NumRows().value(), expected.size() - 32);
+    EXPECT_EQ(metrics.value().rows_loaded, inner->NumRows().value());
+  }
+  {
+    SCOPED_TRACE("resume over rows a dead incarnation landed");
+    auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+    const std::vector<Row> landed(expected.begin(), expected.begin() + 50);
+    ASSERT_TRUE(target->Append(RowBatch(BoundSchema(), landed)).ok());
+    ExecutionConfig config;
+    config.streaming = GetParam();
+    config.resume.has_load_base = true;
+    config.resume.load_base_rows = 0;
+    const Result<RunMetrics> metrics =
+        Executor::Run(MakeFlow(source, target), config);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(target->ReadAll().value().rows(), expected);
+    EXPECT_EQ(metrics.value().rows_loaded, expected.size() - 50);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LoadAccountingTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Streaming" : "Phased";
                          });
