@@ -12,9 +12,12 @@
 // restart term
 // (EstimateRestartCost at the cell's observed crash rate) sits alongside
 // for comparison. Emits one BENCH JSON line (prefix
-// "{\"bench\":\"abl_crash_recovery\"").
+// "{\"bench\":\"abl_crash_recovery\""). Exits non-zero unless every
+// cell's supervised flow converged (ctest `abl_crash_recovery`, label
+// "crash").
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <iostream>
@@ -151,10 +154,6 @@ SupervisorReport RunCell(const std::string& scratch, JournalSync sync,
         auto target, FlatFile::Open("wh", TargetSchema(), scratch + "/wh.csv"));
     QOX_ASSIGN_OR_RETURN(auto rp_store,
                          RecoveryPointStore::Open(scratch + "/rp"));
-    QOX_RETURN_IF_ERROR(
-        AdoptJournaledRecoveryPoints(env.journal->state(), "crashbench_flow",
-                                     rp_store.get())
-            .status());
     ExecutionConfig config;
     config.batch_size = 256;
     config.recovery_points = {2};
@@ -162,7 +161,6 @@ SupervisorReport RunCell(const std::string& scratch, JournalSync sync,
     config.retry.max_attempts = 16;
     config.retry.initial_backoff_micros = 50;
     config.journal = env.journal;
-    config.resume = env.resume;
     return Executor::Run(MakeFlow(BaseSource(), target), config).status();
   };
   return FlowSupervisor::Run("crashbench_flow", body, options).value();
@@ -179,8 +177,11 @@ void BM_AblCrashRecovery(benchmark::State& state) {
     for (const auto& [sync_name, sync] : syncs) {
       int64_t baseline_micros = 0;
       for (const size_t kills : kill_counts) {
-        const std::string scratch = std::string(kScratchRoot) + "_" +
-                                    sync_name + "_" + std::to_string(kills);
+        // Per-process root: concurrent runs (a plain and a sanitizer
+        // ctest) must not share one another's journals.
+        const std::string scratch =
+            std::string(kScratchRoot) + "." + std::to_string(::getpid()) +
+            "_" + sync_name + "_" + std::to_string(kills);
         const SupervisorReport report = RunCell(scratch, sync, kills);
         Cell cell;
         cell.sync = sync_name;
@@ -259,6 +260,21 @@ void PrintFigure() {
   std::cout << json.str() << std::endl;
 }
 
+/// True when every cell ran and its supervised flow converged; otherwise
+/// names the failing cells on stderr.
+bool AllCellsConverged() {
+  bool ok = !Cells().empty();
+  for (const auto& [idx, cell] : Cells()) {
+    if (cell.outcome != "ok") {
+      std::cerr << "abl_crash_recovery: sync=" << cell.sync
+                << " kills=" << cell.kills << " ended " << cell.outcome
+                << std::endl;
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace qox
 
@@ -266,5 +282,5 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   qox::PrintFigure();
-  return 0;
+  return qox::AllCellsConverged() ? 0 : 1;
 }

@@ -240,6 +240,7 @@ ExecutionConfig PhysicalDesign::ToExecutionConfig(
   config.channel_capacity = channel_capacity;
   config.error_policies = error_policies;
   config.error_budget = error_budget;
+  config.audit_rejects = audit_rejects;
   config.memory_budget_bytes = memory_budget_bytes;
   config.resource_policy = resource_policy;
   if (sla_deadline_s > 0.0) {

@@ -1,5 +1,7 @@
 #include "core/quality_features.h"
 
+#include "storage/mem_table.h"
+
 namespace qox {
 
 Result<LogicalFlow> AddProvenanceColumns(const LogicalFlow& flow,
@@ -47,8 +49,7 @@ Result<MaterializedDesign> MaterializeQualityFeatures(
     // cuts remain valid positions.
   }
   if (design.audit_rejects) {
-    out.reject_store =
-        std::make_shared<MemTable>("reject_audit", RejectStoreSchema());
+    out.dead_letter = DeadLetterStore::InMemory("reject_audit");
   }
   return out;
 }
@@ -58,7 +59,7 @@ ExecutionConfig MaterializedExecutionConfig(
     FailureInjector* injector) {
   ExecutionConfig config =
       materialized.design.ToExecutionConfig(std::move(rp_store), injector);
-  config.reject_store = materialized.reject_store;
+  config.dead_letter = materialized.dead_letter;
   return config;
 }
 

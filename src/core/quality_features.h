@@ -8,9 +8,11 @@
 //
 // MaterializeQualityFeatures() turns a PhysicalDesign's declared feature
 // flags into engine artifacts: provenance columns appended to the flow,
-// and a reject/audit store wired into the execution config. The cost
-// model already charges for both (cost_model.cc), so predictions and the
-// materialized execution agree.
+// and a dead-letter ledger wired into the execution config, to which the
+// executor appends every quality reject as an audit record
+// (ExecutionConfig::audit_rejects). The cost model already charges for
+// both (cost_model.cc), so predictions and the materialized execution
+// agree.
 
 #ifndef QOX_CORE_QUALITY_FEATURES_H_
 #define QOX_CORE_QUALITY_FEATURES_H_
@@ -18,7 +20,7 @@
 #include <string>
 
 #include "core/design.h"
-#include "storage/mem_table.h"
+#include "storage/dead_letter_store.h"
 
 namespace qox {
 
@@ -34,18 +36,18 @@ Result<LogicalFlow> AddProvenanceColumns(const LogicalFlow& flow,
 /// Everything MaterializeQualityFeatures produced for one design.
 struct MaterializedDesign {
   PhysicalDesign design;           ///< possibly provenance-widened flow
-  DataStorePtr reject_store;       ///< non-null iff audit_rejects
+  /// In-memory audit ledger; non-null iff audit_rejects.
+  DeadLetterStorePtr dead_letter;
 };
 
 /// Applies the design's `provenance_columns` and `audit_rejects` flags:
-/// widens the flow and/or creates the audit store. The returned design's
-/// ToExecutionConfig output should be given `materialized.reject_store`
-/// via the returned helper below.
+/// widens the flow and/or creates the audit ledger. Run the result under
+/// MaterializedExecutionConfig, which wires the ledger in.
 Result<MaterializedDesign> MaterializeQualityFeatures(
     const PhysicalDesign& design, const std::string& load_tag);
 
 /// Convenience: execution config for a materialized design, with the
-/// audit store wired in.
+/// audit ledger wired in as its dead-letter ledger.
 ExecutionConfig MaterializedExecutionConfig(
     const MaterializedDesign& materialized, RecoveryPointStorePtr rp_store,
     FailureInjector* injector);

@@ -245,13 +245,9 @@ Status RunShardSliceBody(const CdcOptions& options, const ShardRouter& router,
     QOX_ASSIGN_OR_RETURN(auto rp_store,
                          RecoveryPointStore::Open(ShardDir(options, shard) +
                                                   "/rp_" + flow_id));
-    QOX_RETURN_IF_ERROR(AdoptJournaledRecoveryPoints(env->journal->state(),
-                                                     flow_id, rp_store.get())
-                            .status());
     config.recovery_points = {1};
     config.rp_store = rp_store;
     config.journal = env->journal;
-    config.resume = env->resume;
   }
   FlowSpec flow;
   flow.id = flow_id;

@@ -17,13 +17,6 @@
 
 namespace qox {
 
-Schema RejectStoreSchema() {
-  return Schema({{"flow_id", DataType::kString, false},
-                 {"instance", DataType::kInt64, false},
-                 {"attempt", DataType::kInt64, false},
-                 {"rejected_row", DataType::kString, false}});
-}
-
 size_t FingerprintRows(const std::vector<Row>& rows) {
   // Order-insensitive combination: commutative sum of mixed row hashes.
   size_t acc = 0x51ed270b0129ULL + rows.size();
@@ -51,15 +44,6 @@ void WaitBackoff(const RetryPolicy& policy, size_t failed_attempt, Rng* rng,
   }
 }
 
-/// The target's row count before the flow's first load: rows beyond it are
-/// the flow's own, made durable by an earlier attempt or incarnation.
-/// `fresh` when this Run read it (so none of the flow's rows can be durable
-/// yet); false when it was inherited from a dead incarnation's journal.
-struct LoadBase {
-  size_t rows = 0;
-  bool fresh = true;
-};
-
 /// Per-instance flow execution: the scheduler over the lowered
 /// ExecutionPlan, with recovery semantics. Each attempt wires one stage per
 /// plan node and one channel per edge; the dispatch policy is the only
@@ -71,11 +55,12 @@ struct LoadBase {
 /// pool under a FlowService) under the flow's deadline tag.
 class FlowRunner {
  public:
-  /// `base` is the target's pre-flow row count (see LoadBase).
+  /// `journaled`: what dead incarnations left (empty for a fresh run).
   FlowRunner(const FlowSpec& flow, const ExecutionConfig& config,
              const ExecutionPlan& plan,
              const std::vector<Schema>& cut_schemas, const ExecContext& exec,
-             int instance_id, std::atomic<bool>* cancelled, LoadBase base)
+             int instance_id, std::atomic<bool>* cancelled,
+             const FlowJournalState& journaled, size_t load_base_rows)
       : flow_(flow),
         config_(config),
         plan_(plan),
@@ -88,8 +73,11 @@ class FlowRunner {
         budget_state_(config.error_budget),
         memory_budget_(config.memory_budget_bytes),
         spill_(config.spill_dir + "/i" + std::to_string(instance_id)),
-        load_base_rows_(base.rows),
-        flow_durable_(base.fresh ? std::optional<size_t>(0) : std::nullopt),
+        prior_attempts_(journaled.attempts_started),
+        load_base_rows_(load_base_rows),
+        // An inherited baseline: the target must be re-read.
+        flow_durable_(journaled.has_load_base ? std::nullopt
+                                              : std::optional<size_t>(0)),
         journal_(instance_id == 0 ? config.journal.get() : nullptr) {
     ctx_.cancelled = cancelled;
     ctx_.rejected_rows = &rejected_;
@@ -99,38 +87,20 @@ class FlowRunner {
     ctx_.columnar_rows = &columnar_rows_;
     ctx_.memory_budget = &memory_budget_;
     ctx_.spill = &spill_;
-    if (config_.reject_store != nullptr) {
-      ctx_.reject_sink = [this](const Row& row) -> Status {
-        RowBatch audit(RejectStoreSchema());
-        Row record;
-        record.Append(Value::String(flow_.id));
-        record.Append(Value::Int64(instance_id_));
-        record.Append(Value::Int64(current_attempt_.load()));
-        record.Append(Value::String(row.ToString()));
-        audit.Append(std::move(record));
-        return config_.reject_store->Append(audit);
-      };
-    }
     if (config_.dead_letter != nullptr) {
       quarantine_sink_ = [this](const ContainedRow& contained) -> Status {
-        QuarantineRecord record;
-        record.flow_id = flow_.id;
-        const size_t node =
-            plan_.NodeForOp(static_cast<size_t>(contained.op_index));
-        record.node_id = node == ExecutionPlan::kNoNode
-                             ? -1
-                             : static_cast<int64_t>(node);
-        record.op_index = contained.op_index;
-        record.op_name = contained.op_name;
-        record.instance = instance_id_;
-        record.attempt = current_attempt_.load();
-        record.row_index =
-            quarantine_seq_.fetch_add(1, std::memory_order_relaxed);
-        record.status_code = StatusCodeName(contained.cause.code());
-        record.status_message = contained.cause.message();
-        record.payload = EncodeQuarantinePayload(contained.row);
-        return config_.dead_letter->Quarantine(record);
+        return AppendToLedger(contained.op_index, contained.op_name,
+                              contained.row,
+                              StatusCodeName(contained.cause.code()),
+                              contained.cause.message());
       };
+      if (config_.audit_rejects) {
+        ctx_.reject_sink = [this](const std::string& op_name,
+                                  const Row& row) -> Status {
+          return AppendToLedger(/*op_index=*/-1, op_name, row,
+                                kRejectedStatusCode, "");
+        };
+      }
     }
   }
 
@@ -151,7 +121,7 @@ class FlowRunner {
     }
     // Attempt numbering continues where dead incarnations stopped, so the
     // retry budget spans process boundaries.
-    size_t attempt = config_.resume.prior_attempts + 1;
+    size_t attempt = prior_attempts_ + 1;
     while (true) {
       metrics_.attempts = attempt;
       current_attempt_.store(static_cast<int64_t>(attempt));
@@ -276,18 +246,38 @@ class FlowRunner {
     pc->quarantine_sink = quarantine_sink_;
   }
 
+  /// The one record builder of quarantined, shed and rejected rows: `row`
+  /// as it entered op `op_index` (NumOps() = the load boundary, -1 = a
+  /// reject, reported by op name only), why it left, and provenance.
+  Status AppendToLedger(int op_index, const std::string& op_name,
+                        const Row& row, const std::string& status_code,
+                        const std::string& status_message) {
+    QuarantineRecord record;
+    record.flow_id = flow_.id;
+    // -1 wraps past the chain: NodeForOp answers kNoNode.
+    const size_t node = plan_.NodeForOp(static_cast<size_t>(op_index));
+    record.node_id =
+        node == ExecutionPlan::kNoNode ? -1 : static_cast<int64_t>(node);
+    record.op_index = op_index;
+    record.op_name = op_name;
+    record.instance = instance_id_;
+    record.attempt = current_attempt_.load();
+    record.row_index = quarantine_seq_.fetch_add(1, std::memory_order_relaxed);
+    record.status_code = status_code;
+    record.status_message = status_message;
+    record.payload = EncodeQuarantinePayload(row);
+    return config_.dead_letter->Quarantine(record);
+  }
+
   /// Sheds one load row under ResourcePolicy::kShedToQuarantine: routes it
   /// to the dead-letter ledger (count-and-drop when none is configured)
   /// and charges the flow error budget — shedding buys availability with
   /// completeness, and the budget caps how much completeness it may spend.
   Status ShedRow(const Row& row, const Status& cause) {
-    if (quarantine_sink_) {
-      ContainedRow contained;
-      contained.op_index = static_cast<int>(NumOps());  // the load boundary
-      contained.op_name = "load";
-      contained.row = row;
-      contained.cause = cause;
-      QOX_RETURN_IF_ERROR(quarantine_sink_(contained));
+    if (config_.dead_letter != nullptr) {
+      QOX_RETURN_IF_ERROR(AppendToLedger(static_cast<int>(NumOps()), "load",
+                                         row, StatusCodeName(cause.code()),
+                                         cause.message()));
     }
     {
       std::lock_guard<std::mutex> lock(stage_mu_);
@@ -1068,7 +1058,10 @@ class FlowRunner {
   std::mutex stage_mu_;
   /// Rows the source stage of the current attempt emitted.
   size_t source_rows_ = 0;
-  /// Target row count before the flow's first load (LoadBase::rows).
+  /// Attempts dead incarnations consumed.
+  const size_t prior_attempts_;
+  /// Target row count before the flow's first load: rows beyond it are
+  /// the flow's own.
   const size_t load_base_rows_;
   /// Flow rows known durable in the target; empty when it must be re-read
   /// (a resumed run, or after a load stage failed). Touched by the load
@@ -1110,11 +1103,12 @@ PlanInput MakePlanInput(const FlowSpec& flow, const ExecutionConfig& config) {
 Status RunSingleInstance(const FlowSpec& flow, const ExecutionConfig& config,
                          const ExecutionPlan& plan,
                          const std::vector<Schema>& cut_schemas,
-                         const ExecContext& exec, LoadBase base,
-                         RunMetrics* metrics) {
+                         const ExecContext& exec,
+                         const FlowJournalState& journaled,
+                         size_t load_base_rows, RunMetrics* metrics) {
   std::atomic<bool> cancelled{false};
   FlowRunner runner(flow, config, plan, cut_schemas, exec, /*instance_id=*/0,
-                    &cancelled, base);
+                    &cancelled, journaled, load_base_rows);
   QOX_RETURN_IF_ERROR(runner.Execute(/*voter_output=*/nullptr));
   *metrics = runner.metrics();
   metrics->rows_rejected = runner.rejected();
@@ -1128,8 +1122,9 @@ Status RunRedundantInstances(const FlowSpec& flow,
                              const ExecutionConfig& config,
                              const ExecutionPlan& plan,
                              const std::vector<Schema>& cut_schemas,
-                             const ExecContext& exec, LoadBase base,
-                             RunMetrics* metrics) {
+                             const ExecContext& exec,
+                             const FlowJournalState& journaled,
+                             size_t load_base_rows, RunMetrics* metrics) {
   const size_t k = config.redundancy;
   const size_t majority = k / 2 + 1;
   std::atomic<bool> cancelled{false};
@@ -1146,7 +1141,7 @@ Status RunRedundantInstances(const FlowSpec& flow,
   for (size_t i = 0; i < k; ++i) {
     slots[i].runner = std::make_unique<FlowRunner>(
         flow, config, plan, cut_schemas, exec, static_cast<int>(i),
-        &cancelled, base);
+        &cancelled, journaled, load_base_rows);
   }
   // Instance drivers are long-lived and park on retries/backoff, so they
   // run as blocking tasks (expansion workers), never starving core workers
@@ -1272,10 +1267,6 @@ Result<std::vector<Schema>> Executor::BindChain(const FlowSpec& flow,
       config.retry.attempt_deadline_micros < 0) {
     return Status::Invalid("retry backoff/deadline durations must be >= 0");
   }
-  if (config.reject_store != nullptr &&
-      config.reject_store->schema() != RejectStoreSchema()) {
-    return Status::Invalid("reject_store must have RejectStoreSchema()");
-  }
   if (config.error_policies.size() > flow.transforms.size()) {
     return Status::Invalid(
         "error policies cover " + std::to_string(config.error_policies.size()) +
@@ -1308,13 +1299,15 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                        "/qox_spill_" + flow.id + "." +
                        std::to_string(::getpid());
   }
-  if (config.journal != nullptr) {
-    // Sweep spill directories a dead incarnation journaled: a SIGKILL
-    // mid-spill leaves `.spill` / `.spill.tmp` orphans behind, and they
-    // must not accumulate across supervised restarts.
-    for (const std::string& dir : config.journal->state().spill_dirs) {
-      QOX_RETURN_IF_ERROR(SpillManager::CleanupDir(dir).status());
-    }
+  // A journaled run resumes from its journal alone: the attempts, load
+  // baseline, recovery points and spill directories of dead incarnations.
+  // Spill directories are swept first: a SIGKILL mid-spill leaves `.spill`
+  // / `.spill.tmp` orphans that must not accumulate across restarts.
+  const FlowJournalState journaled = config.journal != nullptr
+                                         ? config.journal->state()
+                                         : FlowJournalState();
+  for (const std::string& dir : journaled.spill_dirs) {
+    QOX_RETURN_IF_ERROR(SpillManager::CleanupDir(dir).status());
   }
   const size_t rp_bytes_before =
       config.rp_store != nullptr ? config.rp_store->total_bytes_written() : 0;
@@ -1324,17 +1317,24 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
                        BindChain(flow, config));
   QOX_ASSIGN_OR_RETURN(const ExecutionPlan plan,
                        ExecutionPlan::Lower(MakePlanInput(flow, config)));
+  if (config.journal != nullptr && config.rp_store != nullptr) {
+    // A fresh store is logically empty; the journal knows which points a
+    // dead incarnation sealed.
+    QOX_RETURN_IF_ERROR(
+        AdoptJournaledRecoveryPoints(journaled, flow.id, config.rp_store.get())
+            .status());
+  }
   // The pre-flow target row count, read once per run: a resumed
   // incarnation inherits the journaled one (re-reading would count rows a
   // dead incarnation durably landed as pre-existing and re-append them).
-  LoadBase base{config.resume.load_base_rows, !config.resume.has_load_base};
-  if (base.fresh) {
-    QOX_ASSIGN_OR_RETURN(base.rows, flow.target->NumRows());
+  size_t load_base_rows = journaled.load_base_rows;
+  if (!journaled.has_load_base) {
+    QOX_ASSIGN_OR_RETURN(load_base_rows, flow.target->NumRows());
     if (config.journal != nullptr) {
       // First incarnation of a journaled flow: seal the baseline before
       // any work, so every successor can tell durable flow output apart
       // from pre-existing target rows.
-      QOX_RETURN_IF_ERROR(config.journal->RecordLoadBase(base.rows));
+      QOX_RETURN_IF_ERROR(config.journal->RecordLoadBase(load_base_rows));
     }
   }
   // Execution substrate: the caller's shared pool (FlowService) or a
@@ -1359,10 +1359,12 @@ Result<RunMetrics> Executor::Run(const FlowSpec& flow,
   RunMetrics metrics;
   if (config.redundancy <= 1) {
     QOX_RETURN_IF_ERROR(RunSingleInstance(flow, config, plan, cut_schemas,
-                                          exec, base, &metrics));
+                                          exec, journaled, load_base_rows,
+                                          &metrics));
   } else {
     QOX_RETURN_IF_ERROR(RunRedundantInstances(flow, config, plan, cut_schemas,
-                                              exec, base, &metrics));
+                                              exec, journaled,
+                                              load_base_rows, &metrics));
   }
   metrics.threads = config.num_threads;
   metrics.partitions = config.parallel.partitions;

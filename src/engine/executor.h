@@ -121,12 +121,14 @@ struct ExecutionConfig {
   /// (see IsTransient in common/status) fail fast regardless. Redundant
   /// instances get a single attempt: redundancy replaces recovery.
   RetryPolicy retry;
-  /// Optional audit sink: rows rejected by quality operators (NULL
-  /// filters, unresolved lookups) are appended here with provenance
-  /// (flow id, instance, attempt, serialized row) — the auditability
-  /// mechanism of the QoX suite. Must have RejectStoreSchema(). Retried
-  /// attempts re-log their rejects (each record names its attempt).
-  DataStorePtr reject_store;
+  /// Reject auditing, the auditability mechanism of the QoX suite: rows
+  /// rejected by quality operators (NULL filters, unresolved lookups) are
+  /// appended to `dead_letter` with status code "rejected", the rejecting
+  /// op's name and the row as it entered that op, under the same
+  /// provenance as quarantined rows. Audit-only: ReplayQuarantine skips
+  /// these records. With no ledger, rejects are counted and dropped.
+  /// Retried attempts re-log their rejects (each record names its attempt).
+  bool audit_rejects = false;
   /// Streaming (pipelined) execution: extract, transform units, and load
   /// run as concurrent stages connected by bounded Channel<RowBatch> edges
   /// (DESIGN.md "Streaming dataflow"), so batches flow end to end without
@@ -153,23 +155,23 @@ struct ExecutionConfig {
   /// checked online; max_fraction once per attempt after the transforms
   /// drain. Accounting resets at every attempt start.
   ErrorBudget error_budget;
-  /// Dead-letter ledger receiving kQuarantine rows with provenance
-  /// (storage/dead_letter_store.h). Null = quarantined rows are counted
-  /// and dropped (degraded to kSkip semantics, without replayability).
-  /// Retried attempts re-quarantine their rows (each record names its
-  /// attempt); consumers dedupe via CanonicalLedger.
+  /// Dead-letter ledger receiving kQuarantine rows, shed load rows and
+  /// (with `audit_rejects`) quality rejects, each with provenance
+  /// (storage/dead_letter_store.h). Null = such rows are counted and
+  /// dropped (quarantine degrades to kSkip semantics, without
+  /// replayability). Retried attempts re-quarantine their rows (each
+  /// record names its attempt); consumers dedupe via CanonicalLedger.
   DeadLetterStorePtr dead_letter;
   /// Durable write-ahead flow journal (engine/flow_journal.h). When set,
   /// the executor records attempt/RP-commit/budget/flow-commit lifecycle
   /// events so a supervisor can resume the flow in a new process after a
-  /// SIGKILL. Null = no journaling (the seed behavior). With redundancy,
-  /// only instance 0 journals.
+  /// SIGKILL, and the journal is the run's only resume input: Run() reads
+  /// the attempts dead incarnations consumed (the retry budget spans
+  /// processes) and the target-row baseline for the durable-prefix load
+  /// skip from its state, and adopts its journaled recovery points into
+  /// `rp_store`. Null = no journaling, a fresh run (the seed behavior).
+  /// With redundancy, only instance 0 journals.
   FlowJournalPtr journal;
-  /// Cross-process resume state, reconstructed from the journal by
-  /// FlowSupervisor (engine/supervisor.h): prior attempts consumed by dead
-  /// incarnations (the retry budget spans processes) and the target-row
-  /// baseline for the durable-prefix load skip. Default = fresh run.
-  FlowResume resume;
   /// Per-flow byte budget for blocking-operator working sets
   /// (engine/memory_budget.h). 0 = unlimited, unless the QOX_MEM_BUDGET
   /// environment variable overrides it at Run(). When finite, sort /
@@ -186,10 +188,6 @@ struct ExecutionConfig {
   /// supervisor restart deletes a dead incarnation's leftovers.
   std::string spill_dir;
 };
-
-/// Schema of the reject/audit store:
-/// flow_id:string!, instance:int64!, attempt:int64!, rejected_row:string!.
-Schema RejectStoreSchema();
 
 class Executor {
  public:

@@ -190,14 +190,6 @@ Status FlowJournal::Compact() {
   return journal_->Rewrite(keep);
 }
 
-FlowResume ResumeFromJournal(const FlowJournalState& state) {
-  FlowResume resume;
-  resume.prior_attempts = state.attempts_started;
-  resume.has_load_base = state.has_load_base;
-  resume.load_base_rows = state.load_base_rows;
-  return resume;
-}
-
 Result<size_t> AdoptJournaledRecoveryPoints(const FlowJournalState& state,
                                             const std::string& flow_id,
                                             RecoveryPointStore* store) {

@@ -1,6 +1,5 @@
 // FlowJournal: the durable write-ahead log of one flow's execution
-// lifecycle, and the resume state a new process incarnation reconstructs
-// from it.
+// lifecycle, and the only resume input of a new process incarnation.
 //
 // The executor appends typed records at every durability boundary —
 // attempt starts and ends, budget counters, recovery-point commits, the
@@ -8,13 +7,13 @@
 // commit — to a checksummed JournalFile under the flow's scratch
 // directory. After a SIGKILL, FlowJournal::Open replays the surviving
 // records (the torn tail already truncated by the segment layer) into a
-// FlowJournalState, from which ResumeFromJournal derives the FlowResume
-// the next incarnation hands to Executor::Run: how many attempts the dead
-// incarnations consumed (the retry budget spans process boundaries) and
-// the target-row baseline for the durable-prefix load skip (recomputing it
-// from the target would silently re-count rows a dead incarnation already
-// landed). Recovery points referenced by rp_commit records are re-adopted
-// into a fresh RecoveryPointStore via AdoptJournaledRecoveryPoints.
+// FlowJournalState. Executor::Run reads that state itself when handed the
+// journal: how many attempts the dead incarnations consumed (the retry
+// budget spans process boundaries), the target-row baseline for the
+// durable-prefix load skip (recomputing it from the target would silently
+// re-count rows a dead incarnation already landed), and the recovery
+// points referenced by rp_commit records, which it re-adopts into the
+// run's fresh RecoveryPointStore via AdoptJournaledRecoveryPoints.
 //
 // Record schema (fields after seq + type; DESIGN.md "Crash recovery"):
 //   load_base      rows                          target rows before 1st load
@@ -45,12 +44,16 @@ namespace qox {
 /// State reconstructed by replaying the journal.
 struct FlowJournalState {
   /// attempt_start records seen: attempts consumed by this and all prior
-  /// incarnations (a started-but-unfinished attempt was consumed).
+  /// incarnations (a started-but-unfinished attempt was consumed), which
+  /// the retry budget counts.
   size_t attempts_started = 0;
   size_t attempts_finished = 0;
   std::string last_attempt_status;
   /// Flow fully committed (load + post_success + RP cleanup done).
   bool committed = false;
+  /// Target row count before the flow's first load, journaled by the first
+  /// incarnation: the durable-prefix baseline, so rows a dead incarnation
+  /// already landed are skipped, not re-appended.
   bool has_load_base = false;
   size_t load_base_rows = 0;
   /// Budget counters of the last successful attempt.
@@ -77,19 +80,6 @@ struct FlowJournalState {
   /// first-seen order). A supervised restart sweeps them for orphaned
   /// `.spill` / `.spill.tmp` files left by a SIGKILL mid-spill.
   std::vector<std::string> spill_dirs;
-};
-
-/// Cross-process resume state handed to Executor::Run by a supervisor.
-struct FlowResume {
-  /// Attempts consumed by earlier incarnations; the next attempt numbers
-  /// from prior_attempts + 1 and the retry budget counts them.
-  size_t prior_attempts = 0;
-  /// Target row count before the flow's very first load, journaled by the
-  /// first incarnation. When set, the executor uses it (instead of
-  /// re-reading the target) as the durable-prefix baseline, so rows a dead
-  /// incarnation already landed are skipped, not re-appended.
-  bool has_load_base = false;
-  size_t load_base_rows = 0;
 };
 
 class FlowJournal;
@@ -143,9 +133,6 @@ class FlowJournal {
   mutable std::mutex mu_;
   FlowJournalState state_;
 };
-
-/// Derives the resume state the next incarnation runs under.
-FlowResume ResumeFromJournal(const FlowJournalState& state);
 
 /// Re-registers every journaled recovery point into `store` (which starts
 /// logically empty in a fresh process). Points whose on-disk marker did

@@ -36,8 +36,10 @@ struct OperatorContext {
   std::atomic<bool>* cancelled = nullptr;
 
   /// Sink for rows rejected by quality operators (NULL filters, failed
-  /// lookups). May be null, in which case rejects are counted but dropped.
-  std::function<Status(const Row&)> reject_sink;
+  /// lookups), given the rejecting op's name and the row as it entered that
+  /// op. May be null, in which case rejects are counted but dropped.
+  std::function<Status(const std::string& op_name, const Row& row)>
+      reject_sink;
 
   /// Rejected-row counter (always maintained).
   std::atomic<size_t>* rejected_rows = nullptr;
@@ -74,11 +76,11 @@ struct OperatorContext {
     return cancelled != nullptr && cancelled->load(std::memory_order_relaxed);
   }
 
-  Status Reject(const Row& row) {
+  Status Reject(const std::string& op_name, const Row& row) {
     if (rejected_rows != nullptr) {
       rejected_rows->fetch_add(1, std::memory_order_relaxed);
     }
-    if (reject_sink) return reject_sink(row);
+    if (reject_sink) return reject_sink(op_name, row);
     return Status::OK();
   }
 };

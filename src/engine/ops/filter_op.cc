@@ -139,7 +139,7 @@ Status FilterOp::Push(const RowBatch& input, RowBatch* output) {
     if (pass) {
       output->Append(row);
     } else if (ctx_ != nullptr) {
-      QOX_RETURN_IF_ERROR(ctx_->Reject(row));
+      QOX_RETURN_IF_ERROR(ctx_->Reject(name(), row));
     }
   }
   return Status::OK();
@@ -157,7 +157,7 @@ Status FilterOp::Push(RowBatch&& input, RowBatch* output) {
     if (pass) {
       output->Append(std::move(row));
     } else if (ctx_ != nullptr) {
-      QOX_RETURN_IF_ERROR(ctx_->Reject(row));
+      QOX_RETURN_IF_ERROR(ctx_->Reject(name(), row));
     }
   }
   return Status::OK();
@@ -289,7 +289,7 @@ Status FilterOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
     if (pass) {
       kept.push_back(r);
     } else if (ctx_ != nullptr) {
-      QOX_RETURN_IF_ERROR(ctx_->Reject(batch->RowAt(r)));
+      QOX_RETURN_IF_ERROR(ctx_->Reject(name(), batch->RowAt(r)));
     }
   }
   batch->SetSelection(std::move(kept));

@@ -261,7 +261,7 @@ Status LookupOp::Push(const RowBatch& input, RowBatch* output) {
     if (match == nullptr) {
       switch (miss_policy_) {
         case LookupMissPolicy::kReject:
-          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(row));
+          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(name(), row));
           continue;
         case LookupMissPolicy::kNull: {
           Row out = row;
@@ -292,7 +292,7 @@ Status LookupOp::Push(RowBatch&& input, RowBatch* output) {
     if (match == nullptr) {
       switch (miss_policy_) {
         case LookupMissPolicy::kReject:
-          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(row));
+          if (ctx_ != nullptr) QOX_RETURN_IF_ERROR(ctx_->Reject(name(), row));
           continue;
         case LookupMissPolicy::kNull: {
           Row out = std::move(row);
@@ -353,7 +353,7 @@ Status LookupOp::PushColumnar(ColumnBatch* batch, ColumnarPushContext* cctx) {
       switch (miss_policy_) {
         case LookupMissPolicy::kReject:
           if (ctx_ != nullptr) {
-            QOX_RETURN_IF_ERROR(ctx_->Reject(batch->RowAt(r)));
+            QOX_RETURN_IF_ERROR(ctx_->Reject(name(), batch->RowAt(r)));
           }
           for (Column& col : appended) col.AppendNull();
           continue;  // dropped from the selection

@@ -45,12 +45,14 @@ Result<ReplayStats> ReplayQuarantine(const FlowSpec& flow,
 
   // Deduplicate on (op_index, payload) and order payloads canonically per
   // op, so replay is deterministic regardless of which executor, attempt,
-  // or instance wrote the ledger.
+  // or instance wrote the ledger. A record at op_index == num_ops is a row
+  // shed at the load boundary: its suffix is empty, so it loads as stored.
   std::map<size_t, std::set<std::string>> payloads_by_op;
   const size_t num_ops = flow.transforms.size();
   for (const QuarantineRecord& record : records) {
+    if (record.status_code == kRejectedStatusCode) continue;  // audit-only
     if (record.op_index < 0 ||
-        static_cast<size_t>(record.op_index) >= num_ops) {
+        static_cast<size_t>(record.op_index) > num_ops) {
       return Status::Invalid(
           "quarantine record names transform op " +
           std::to_string(record.op_index) + " but the chain has " +

@@ -44,10 +44,12 @@ struct ReplayStats {
   size_t rows_already_durable = 0;
 };
 
-/// Replays every record of `dead_letter` through `flow`'s transform suffix
-/// and appends the recovered rows to `flow.target`. The flow is expected to
-/// be repaired: any row error during replay fails fast (nothing is
-/// re-quarantined — a replay that still fails means the repair is not
+/// Replays every quarantined or shed record of `dead_letter` through
+/// `flow`'s transform suffix (empty for a row shed at the load boundary)
+/// and appends the recovered rows to `flow.target`. Audited quality
+/// rejects are skipped: the flow rejected them correctly. The flow is
+/// expected to be repaired: any row error during replay fails fast (nothing
+/// is re-quarantined — a replay that still fails means the repair is not
 /// done, and the ledger still holds the rows). Replay is deterministic:
 /// groups run in ascending op_index and rows within a group in canonical
 /// (sorted payload) order. `config` is used for validation and batch

@@ -73,7 +73,6 @@ Status ReadVerdict(const std::string& path) {
   FlowEnv env;
   env.scratch_dir = options.scratch_dir;
   env.journal = journal.TakeValue();
-  env.resume = ResumeFromJournal(env.journal->state());
   env.incarnation = incarnation;
   const Status st = body(env);
   if (st.ok()) ::_exit(0);

@@ -11,10 +11,11 @@
 //      takeover when the previous supervisor died).
 //   2. Read the FlowJournal: if the flow already committed, done.
 //   3. Fork. The child opens the journal (truncating any torn tail the
-//      predecessor's death left), derives a FlowResume, re-adopts journaled
-//      recovery points, runs the caller's body, and _exits: 0 on success,
-//      nonzero (with the status written to a verdict file) on a
-//      deterministic failure.
+//      predecessor's death left), runs the caller's body with it, and
+//      _exits: 0 on success, nonzero (with the status written to a verdict
+//      file) on a deterministic failure. The journal is the body's only
+//      resume input: Executor::Run reads the consumed attempts and the load
+//      baseline from it and re-adopts its journaled recovery points.
 //   4. The parent waits. Normal exit 0 = converged; normal nonzero exit =
 //      deterministic failure, do NOT restart (it would loop); death by
 //      signal = crash, go to 2.
@@ -36,13 +37,11 @@
 namespace qox {
 
 /// Everything a supervised incarnation gets from its supervisor. The body
-/// builds its stores/config around these: pass `journal` and `resume` into
-/// ExecutionConfig, adopt recovery points via AdoptJournaledRecoveryPoints
-/// with `journal->state()`.
+/// opens its durable stores under `scratch_dir` and passes `journal` as
+/// ExecutionConfig::journal; Executor::Run resumes from it.
 struct FlowEnv {
   std::string scratch_dir;
   FlowJournalPtr journal;
-  FlowResume resume;
   /// 1-based incarnation number (1 = first child).
   int incarnation = 1;
 };

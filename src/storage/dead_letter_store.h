@@ -12,7 +12,9 @@
 // The payload column holds the failing row CSV-encoded *as it entered the
 // failing operator* (all upstream transforms applied), so ReplayQuarantine
 // (engine/quarantine.h) can re-run just the suffix of a repaired flow over
-// it without re-extracting anything.
+// it without re-extracting anything. The same ledger is the audit sink of
+// rows quality operators reject (status code kRejectedStatusCode); those
+// records are audit-only and replay skips them.
 
 #ifndef QOX_STORAGE_DEAD_LETTER_STORE_H_
 #define QOX_STORAGE_DEAD_LETTER_STORE_H_
@@ -31,7 +33,9 @@ struct QuarantineRecord {
   std::string flow_id;
   /// ExecutionPlan node id of the failing operator (-1 when unknown).
   int64_t node_id = -1;
-  /// Global index of the failing operator in the transform chain.
+  /// Global index of the failing operator in the transform chain; the
+  /// chain length for a row shed at the load boundary; -1 for an audited
+  /// reject, which names its operator by op_name only.
   int64_t op_index = 0;
   std::string op_name;
   /// Redundant-instance id (0 for non-redundant runs).
@@ -42,12 +46,17 @@ struct QuarantineRecord {
   /// across executors and attempts — cross-mode comparisons must use
   /// CanonicalLedger instead).
   int64_t row_index = 0;
-  /// StatusCodeName of the row error ("invalid_argument", "not_found").
+  /// StatusCodeName of the row error ("invalid_argument", "not_found"),
+  /// or kRejectedStatusCode for an audited quality reject.
   std::string status_code;
   std::string status_message;
   /// The failing row, CSV-encoded against the failing op's input schema.
   std::string payload;
 };
+
+/// Status code of an audited quality reject (ExecutionConfig::
+/// audit_rejects): a correct outcome, not a row error, so replay skips it.
+inline constexpr char kRejectedStatusCode[] = "rejected";
 
 /// Schema of the underlying ledger store (one column per QuarantineRecord
 /// field plus the trailing int64 checksum).

@@ -152,6 +152,7 @@ TEST(PhysicalDesignTest, ToExecutionConfigCopiesChoices) {
   design.parallel.partitions = 2;
   design.recovery_points = {0};
   design.redundancy = 3;
+  design.audit_rejects = true;
   FailureInjector injector;
   const ExecutionConfig config = design.ToExecutionConfig(nullptr, &injector);
   EXPECT_EQ(config.num_threads, 4u);
@@ -159,6 +160,7 @@ TEST(PhysicalDesignTest, ToExecutionConfigCopiesChoices) {
   EXPECT_EQ(config.recovery_points, std::vector<size_t>{0});
   EXPECT_EQ(config.redundancy, 3u);
   EXPECT_EQ(config.injector, &injector);
+  EXPECT_TRUE(config.audit_rejects);
 }
 
 TEST(PhysicalDesignTest, DescribeMentionsEverything) {

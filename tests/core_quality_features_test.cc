@@ -56,7 +56,7 @@ TEST(MaterializeTest, NoFlagsIsIdentity) {
       MaterializeQualityFeatures(design, "tag");
   ASSERT_TRUE(materialized.ok());
   EXPECT_EQ(materialized.value().design.flow.num_ops(), 1u);
-  EXPECT_EQ(materialized.value().reject_store, nullptr);
+  EXPECT_EQ(materialized.value().dead_letter, nullptr);
 }
 
 TEST(MaterializeTest, FlagsProduceArtifactsAndExecute) {
@@ -68,17 +68,23 @@ TEST(MaterializeTest, FlagsProduceArtifactsAndExecute) {
       MaterializeQualityFeatures(design, "tag-7");
   ASSERT_TRUE(materialized.ok()) << materialized.status();
   EXPECT_EQ(materialized.value().design.flow.num_ops(), 2u);
-  ASSERT_NE(materialized.value().reject_store, nullptr);
+  ASSERT_NE(materialized.value().dead_letter, nullptr);
 
   const ExecutionConfig config = MaterializedExecutionConfig(
       materialized.value(), nullptr, nullptr);
-  EXPECT_EQ(config.reject_store.get(),
-            materialized.value().reject_store.get());
+  EXPECT_TRUE(config.audit_rejects);
+  EXPECT_EQ(config.dead_letter.get(), materialized.value().dead_letter.get());
   const Result<RunMetrics> metrics = Executor::Run(
       materialized.value().design.flow.ToFlowSpec(), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   // 100 rows: ids 7, 15, ..., 95 have NULL amounts -> 12 rejects audited.
-  EXPECT_EQ(materialized.value().reject_store->NumRows().value(), 12u);
+  const std::vector<QuarantineRecord> records =
+      materialized.value().dead_letter->ReadAll().value();
+  EXPECT_EQ(records.size(), 12u);
+  for (const QuarantineRecord& record : records) {
+    EXPECT_EQ(record.status_code, kRejectedStatusCode);
+    EXPECT_EQ(record.op_name, "flt");
+  }
 }
 
 TEST(MaterializeTest, CostModelChargesForFeatures) {

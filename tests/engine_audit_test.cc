@@ -1,10 +1,12 @@
-// Reject/audit-store routing and MTBF-sampled failures.
+// Reject auditing through the dead-letter ledger, and MTBF-sampled
+// failures.
 
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
 #include "engine/ops/filter_op.h"
 #include "engine/ops/lookup_op.h"
+#include "storage/dead_letter_store.h"
 #include "test_util.h"
 
 namespace qox {
@@ -26,70 +28,90 @@ FlowSpec MakeFlow(const DataStorePtr& source,
   return spec;
 }
 
-TEST(RejectStoreTest, SchemaShape) {
-  const Schema schema = RejectStoreSchema();
-  EXPECT_TRUE(schema.HasField("flow_id"));
-  EXPECT_TRUE(schema.HasField("instance"));
-  EXPECT_TRUE(schema.HasField("attempt"));
-  EXPECT_TRUE(schema.HasField("rejected_row"));
-}
-
-TEST(RejectStoreTest, RejectedRowsLandInAuditStore) {
+TEST(RejectAuditTest, RejectedRowsLandInTheLedger) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(80));  // 10 NULLs
   auto target = std::make_shared<MemTable>("tgt", SimpleSchema());
-  auto audit = std::make_shared<MemTable>("audit", RejectStoreSchema());
+  auto ledger = DeadLetterStore::InMemory("audit");
   ExecutionConfig config;
-  config.reject_store = audit;
+  config.audit_rejects = true;
+  config.dead_letter = ledger;
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics.value().rows_rejected, 10u);
-  const RowBatch records = audit->ReadAll().value();
-  ASSERT_EQ(records.num_rows(), 10u);
-  EXPECT_EQ(records.row(0).value(0).string_value(), "audit_flow");
-  EXPECT_EQ(records.row(0).value(2).int64_value(), 1);  // attempt 1
-  // The serialized row is inspectable.
-  EXPECT_NE(records.row(0).value(3).string_value().find("("),
-            std::string::npos);
+  EXPECT_EQ(metrics.value().rows_quarantined, 0u);
+  const std::vector<QuarantineRecord> records = ledger->ReadAll().value();
+  ASSERT_EQ(records.size(), 10u);
+  const QuarantineRecord& first = records.front();
+  EXPECT_EQ(first.flow_id, "audit_flow");
+  EXPECT_EQ(first.status_code, kRejectedStatusCode);
+  EXPECT_EQ(first.op_name, "flt");
+  EXPECT_EQ(first.op_index, -1);
+  EXPECT_EQ(first.instance, 0);
+  EXPECT_EQ(first.attempt, 1);
+  // The payload is the rejected row as it entered the filter: id 7 is the
+  // first NULL amount.
+  const Row row =
+      DecodeQuarantinePayload(first.payload, SimpleSchema()).value();
+  EXPECT_EQ(row.value(0).int64_value(), 7);
+  EXPECT_TRUE(row.value(2).is_null());
 }
 
-TEST(RejectStoreTest, RetriedAttemptsTagTheirRecords) {
+TEST(RejectAuditTest, RetriedAttemptsTagTheirRecords) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(80));
   auto target = std::make_shared<MemTable>("tgt", SimpleSchema());
-  auto audit = std::make_shared<MemTable>("audit", RejectStoreSchema());
+  auto ledger = DeadLetterStore::InMemory("audit");
   FailureInjector injector;
   FailureSpec spec;
   spec.at_op = 0;
   spec.at_fraction = 0.9;
   injector.AddFailure(spec);
   ExecutionConfig config;
-  config.reject_store = audit;
+  config.audit_rejects = true;
+  config.dead_letter = ledger;
   config.injector = &injector;
   // Small batches so attempt 1 processes (and audits) rows before the
   // late failure fires.
   config.batch_size = 16;
   ASSERT_TRUE(Executor::Run(MakeFlow(source, target), config).ok());
-  const RowBatch records = audit->ReadAll().value();
   bool saw_attempt_1 = false;
   bool saw_attempt_2 = false;
-  for (const Row& row : records.rows()) {
-    if (row.value(2).int64_value() == 1) saw_attempt_1 = true;
-    if (row.value(2).int64_value() == 2) saw_attempt_2 = true;
+  const std::vector<QuarantineRecord> records = ledger->ReadAll().value();
+  for (const QuarantineRecord& record : records) {
+    if (record.attempt == 1) saw_attempt_1 = true;
+    if (record.attempt == 2) saw_attempt_2 = true;
   }
   EXPECT_TRUE(saw_attempt_1);
   EXPECT_TRUE(saw_attempt_2);
 }
 
-TEST(RejectStoreTest, WrongSchemaRejectedAtBindTime) {
+TEST(RejectAuditTest, WithoutALedgerRejectsAreCountedAndDropped) {
   const DataStorePtr source =
-      testing_util::MakeSource(SimpleSchema(), SimpleRows(8));
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(80));
   auto target = std::make_shared<MemTable>("tgt", SimpleSchema());
   ExecutionConfig config;
-  config.reject_store = std::make_shared<MemTable>(
-      "bad", Schema({{"x", DataType::kInt64, true}}));
-  EXPECT_FALSE(Executor::BindChain(MakeFlow(source, target), config).ok());
+  config.audit_rejects = true;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().rows_rejected, 10u);
+  EXPECT_EQ(target->NumRows().value(), 70u);
+}
+
+TEST(RejectAuditTest, UnauditedRejectsStayOutOfTheLedger) {
+  const DataStorePtr source =
+      testing_util::MakeSource(SimpleSchema(), SimpleRows(80));
+  auto target = std::make_shared<MemTable>("tgt", SimpleSchema());
+  auto ledger = DeadLetterStore::InMemory("dlq");
+  ExecutionConfig config;
+  config.dead_letter = ledger;
+  const Result<RunMetrics> metrics =
+      Executor::Run(MakeFlow(source, target), config);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics.value().rows_rejected, 10u);
+  EXPECT_EQ(ledger->NumRecords().value(), 0u);
 }
 
 TEST(MtbfInjectorTest, FiresOnWallClockCrossings) {

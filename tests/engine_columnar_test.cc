@@ -89,7 +89,7 @@ struct RunResult {
 
 RunResult RunFlow(const std::vector<Row>& input, LookupMissPolicy miss_policy,
                   bool with_c, bool columnar, bool streaming,
-                  const DataStorePtr& reject_store = nullptr,
+                  bool audit_rejects = false,
                   const DeadLetterStorePtr& dlq = nullptr,
                   const std::vector<ErrorPolicy>& policies = {}) {
   auto dim = MakeDim(with_c);
@@ -98,7 +98,7 @@ RunResult RunFlow(const std::vector<Row>& input, LookupMissPolicy miss_policy,
   ExecutionConfig config;
   config.streaming = streaming;
   config.batch_size = 32;
-  config.reject_store = reject_store;
+  config.audit_rejects = audit_rejects;
   config.dead_letter = dlq;
   config.error_policies = policies;
   FlowSpec flow =
@@ -151,16 +151,18 @@ TEST(ColumnarExecutionTest, StreamingSchedulerRunsTheSameFastPath) {
 // as the row path produces.
 TEST(ColumnarExecutionTest, RejectSinkMatchesRowModeExactly) {
   const std::vector<Row> input = SimpleRows(120);  // categories cycle a,b,c
-  auto row_rejects = std::make_shared<MemTable>("rej_row", RejectStoreSchema());
-  auto col_rejects = std::make_shared<MemTable>("rej_col", RejectStoreSchema());
+  auto row_ledger = DeadLetterStore::InMemory("rej_row");
+  auto col_ledger = DeadLetterStore::InMemory("rej_col");
 
   // Dimension lacks "c": every third row is rejected by the strict lookup.
   const RunResult row_mode =
       RunFlow(input, LookupMissPolicy::kReject, /*with_c=*/false,
-              /*columnar=*/false, /*streaming=*/false, row_rejects);
+              /*columnar=*/false, /*streaming=*/false,
+              /*audit_rejects=*/true, row_ledger);
   const RunResult col_mode =
       RunFlow(input, LookupMissPolicy::kReject, /*with_c=*/false,
-              /*columnar=*/true, /*streaming=*/false, col_rejects);
+              /*columnar=*/true, /*streaming=*/false,
+              /*audit_rejects=*/true, col_ledger);
 
   EXPECT_GT(col_mode.metrics.columnar_batches, 0u);
   // 40 lookup misses (category "c") + 10 NULL-amount filter rejects that
@@ -169,10 +171,12 @@ TEST(ColumnarExecutionTest, RejectSinkMatchesRowModeExactly) {
   EXPECT_EQ(col_mode.metrics.rows_rejected,
             row_mode.metrics.rows_rejected);
   EXPECT_EQ(col_mode.warehouse, row_mode.warehouse);
-  // RejectStoreSchema is fully deterministic (flow, instance, attempt,
-  // serialized row) — the audit trail must be byte-identical too.
-  EXPECT_EQ(col_rejects->ReadAll().value().rows(),
-            row_rejects->ReadAll().value().rows());
+  // A serial run's reject records are fully deterministic (flow, node, op,
+  // instance, attempt, sequence number, row) — the audit trail must be
+  // byte-identical too, record for record and in order.
+  EXPECT_EQ(row_ledger->NumRecords().value(), 50u);
+  EXPECT_EQ(col_ledger->inner()->ReadAll().value().rows(),
+            row_ledger->inner()->ReadAll().value().rows());
 }
 
 // Quarantined rows (operator row-errors under ErrorPolicy::kQuarantine)
@@ -185,12 +189,12 @@ TEST(ColumnarExecutionTest, QuarantineLedgerMatchesRowModeExactly) {
 
   const RunResult row_mode =
       RunFlow(input, LookupMissPolicy::kError, /*with_c=*/false,
-              /*columnar=*/false, /*streaming=*/false, nullptr, row_dlq,
-              policies);
+              /*columnar=*/false, /*streaming=*/false,
+              /*audit_rejects=*/false, row_dlq, policies);
   const RunResult col_mode =
       RunFlow(input, LookupMissPolicy::kError, /*with_c=*/false,
-              /*columnar=*/true, /*streaming=*/false, nullptr, col_dlq,
-              policies);
+              /*columnar=*/true, /*streaming=*/false,
+              /*audit_rejects=*/false, col_dlq, policies);
 
   EXPECT_GT(col_mode.metrics.columnar_batches, 0u);
   EXPECT_EQ(row_mode.metrics.rows_quarantined, 40u);

@@ -207,18 +207,12 @@ Outcome RunSupervised(const std::string& dir, const CrashSchedule& schedule,
     QOX_ASSIGN_OR_RETURN(auto dlq, DeadLetterStore::Wrap(dlq_file));
     QOX_ASSIGN_OR_RETURN(auto rp_store,
                          RecoveryPointStore::Open(dir + "/rp"));
-    // A fresh store is logically empty; the journal knows which points a
-    // dead incarnation sealed.
-    QOX_RETURN_IF_ERROR(AdoptJournaledRecoveryPoints(env.journal->state(),
-                                                     kFlowId, rp_store.get())
-                            .status());
     ExecutionConfig config = BaseConfig(schedule, dir);
     config.streaming = streaming;
     config.rp_store = rp_store;
     config.injector = &injector;
     config.dead_letter = dlq;
     config.journal = env.journal;
-    config.resume = env.resume;
     return Executor::Run(
                MakeFlow(MakeSource(SimpleSchema(), SimpleRows(kRows)),
                         target),

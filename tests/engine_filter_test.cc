@@ -98,7 +98,9 @@ TEST(FilterOpTest, RejectedRowsRouteToSink) {
   std::atomic<size_t> rejected_count{0};
   OperatorContext ctx;
   ctx.rejected_rows = &rejected_count;
-  ctx.reject_sink = [&rejected](const Row& row) {
+  std::vector<std::string> rejecting_ops;
+  ctx.reject_sink = [&](const std::string& op_name, const Row& row) {
+    rejecting_ops.push_back(op_name);
     rejected.push_back(row);
     return Status::OK();
   };
@@ -113,6 +115,7 @@ TEST(FilterOpTest, RejectedRowsRouteToSink) {
   EXPECT_EQ(rejected_count.load(), 1u);
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].value(0).int64_value(), 2);
+  EXPECT_EQ(rejecting_ops, std::vector<std::string>{"flt"});
 }
 
 TEST(FilterOpTest, BindFailsOnMissingColumn) {

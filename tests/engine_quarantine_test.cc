@@ -312,6 +312,55 @@ TEST(QuarantineExecutionTest, ReplayYieldsExactlyTheMissingRows) {
   EXPECT_TRUE(SameMultiset(ReadRows(target), CleanOutput(input)));
 }
 
+// Audited rejects share the ledger with quarantined rows but are audit-only:
+// a ledger holding both replays exactly like the quarantine-only ledger.
+TEST(QuarantineExecutionTest, ReplaySkipsAuditedRejects) {
+  const std::vector<Row> input = SimpleRows(64);  // 8 NULL amounts
+  FailureInjector injector;
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/3});
+  injector.AddPoison({/*at_op=*/1, /*id_value=*/5});
+  struct Replayed {
+    size_t records = 0;
+    size_t rejects = 0;
+    ReplayStats stats;
+    std::vector<Row> warehouse;
+  };
+  const auto run_and_replay = [&](bool audit_rejects) {
+    auto target = std::make_shared<MemTable>("wh", TargetSchema());
+    auto dlq = DeadLetterStore::InMemory("dlq");
+    ExecutionConfig config;
+    config.injector = &injector;
+    config.error_policies = {ErrorPolicy::kFailFast, ErrorPolicy::kQuarantine,
+                             ErrorPolicy::kFailFast};
+    config.dead_letter = dlq;
+    config.audit_rejects = audit_rejects;
+    const FlowSpec flow = MakeFlow(MakeSource(SimpleSchema(), input), target);
+    EXPECT_TRUE(Executor::Run(flow, config).ok());
+    Replayed out;
+    const std::vector<QuarantineRecord> records = dlq->ReadAll().value();
+    for (const QuarantineRecord& record : records) {
+      ++out.records;
+      if (record.status_code == kRejectedStatusCode) ++out.rejects;
+    }
+    out.stats = ReplayQuarantine(flow, ExecutionConfig{}, *dlq).value();
+    out.warehouse = ReadRows(target);
+    return out;
+  };
+  const Replayed quarantine_only = run_and_replay(/*audit_rejects=*/false);
+  const Replayed with_rejects = run_and_replay(/*audit_rejects=*/true);
+  EXPECT_EQ(quarantine_only.records, 2u);
+  EXPECT_EQ(quarantine_only.rejects, 0u);
+  EXPECT_EQ(with_rejects.records, 10u);
+  EXPECT_EQ(with_rejects.rejects, 8u);
+  EXPECT_EQ(with_rejects.stats.deduplicated,
+            quarantine_only.stats.deduplicated);
+  EXPECT_EQ(with_rejects.stats.replayed, quarantine_only.stats.replayed);
+  EXPECT_EQ(with_rejects.stats.rows_loaded, quarantine_only.stats.rows_loaded);
+  EXPECT_EQ(with_rejects.stats.replayed, 2u);
+  EXPECT_EQ(with_rejects.warehouse, quarantine_only.warehouse);
+  EXPECT_TRUE(SameMultiset(with_rejects.warehouse, CleanOutput(input)));
+}
+
 TEST(QuarantineExecutionTest, ReplayDeduplicatesRetriedRecords) {
   const std::vector<Row> input = SimpleRows(48);
   FailureInjector injector;

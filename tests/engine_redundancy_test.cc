@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "engine/executor.h"
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
@@ -82,6 +85,36 @@ TEST_P(RedundancyDegreeTest, VotedOutputEqualsSequential) {
 INSTANTIATE_TEST_SUITE_P(Degrees, RedundancyDegreeTest,
                          ::testing::Values(2, 3, 4, 5));
 
+/// Pass-through op whose Finish holds its instance (for a bounded time)
+/// until `injector` has fired, so the majority cannot vote — and cancel
+/// the straggler — before a minority instance's injected failure lands.
+class AwaitFailureOp final : public Operator {
+ public:
+  explicit AwaitFailureOp(const FailureInjector* injector)
+      : injector_(injector) {}
+  const char* kind() const override { return "await_failure"; }
+  const std::string& name() const override { return name_; }
+  Result<Schema> Bind(const Schema& input) override { return input; }
+  Status Push(const RowBatch& input, RowBatch* output) override {
+    for (const Row& row : input.rows()) output->Append(row);
+    return Status::OK();
+  }
+  Status Finish(RowBatch* output) override {
+    (void)output;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (injector_->triggered_count() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::OK();
+  }
+
+ private:
+  const FailureInjector* const injector_;
+  const std::string name_ = "await_failure";
+};
+
 TEST(RedundancyTest, ToleratesMinorityInstanceFailures) {
   const DataStorePtr source =
       testing_util::MakeSource(SimpleSchema(), SimpleRows(300));
@@ -97,8 +130,11 @@ TEST(RedundancyTest, ToleratesMinorityInstanceFailures) {
   config.num_threads = 4;
   config.redundancy = 3;
   config.injector = &injector;
-  const Result<RunMetrics> metrics =
-      Executor::Run(MakeFlow(source, target), config);
+  FlowSpec flow = MakeFlow(source, target);
+  flow.transforms.push_back([&injector]() -> OperatorPtr {
+    return std::make_unique<AwaitFailureOp>(&injector);
+  });
+  const Result<RunMetrics> metrics = Executor::Run(flow, config);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics.value().failures_injected, 1u);
   // 37 of the 300 rows (ids 7, 15, ..., 295) carry NULL amounts.

@@ -6,7 +6,9 @@
 //                        converges to the clean run's bytes. EIO stays
 //                        fatal (a real I/O error is not congestion).
 //   kShedToQuarantine  — the flow completes; warehouse + decoded ledger
-//                        payloads together equal the clean output.
+//                        payloads together equal the clean output, and
+//                        replaying the ledger into the warehouse
+//                        completes it.
 // In every case, no spill artifact survives the run. Sweep width comes
 // from QOX_RESOURCE_SEEDS (scripts/check.sh --fast shrinks it).
 
@@ -22,6 +24,7 @@
 #include "engine/ops/filter_op.h"
 #include "engine/ops/function_op.h"
 #include "engine/ops/sort_op.h"
+#include "engine/quarantine.h"
 #include "storage/dead_letter_store.h"
 #include "storage/faulty_store.h"
 #include "storage/mem_table.h"
@@ -232,6 +235,16 @@ TEST(ResourceChaosTest, ShedCompletesAndLedgerHoldsExactlyTheMissingRows) {
     EXPECT_EQ(loaded + records.size(), CleanOutput().size());
     EXPECT_TRUE(SameMultiset(recovered, CleanOutput()));
     EXPECT_EQ(SpillArtifactsUnder(spill_dir), 0u);
+
+    // Once the disk is healthy again, replaying the ledger into the
+    // warehouse completes it: shed rows load as stored (empty suffix).
+    const Result<ReplayStats> replay = ReplayQuarantine(
+        MakeFlow(MakeSource(SimpleSchema(), SimpleRows(kRows)), warehouse),
+        ExecutionConfig{}, *dlq);
+    ASSERT_TRUE(replay.ok()) << replay.status();
+    EXPECT_EQ(replay.value().rows_loaded, records.size());
+    EXPECT_TRUE(SameMultiset(warehouse->ReadAll().value().rows(),
+                             CleanOutput()));
     std::filesystem::remove_all(spill_dir);
   }
 }

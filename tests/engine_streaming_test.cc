@@ -571,6 +571,18 @@ TEST(StreamingExecutorTest, EmptySourceProducesEmptyTarget) {
   EXPECT_EQ(target->NumRows().value(), 0u);
 }
 
+/// Opens a journal under a fresh temp dir (returned in `*dir`) in which an
+/// earlier incarnation sealed `rows` as the load baseline: what a resumed
+/// run reads.
+FlowJournalPtr JournalWithLoadBase(size_t rows, std::string* dir) {
+  *dir = testing_util::MakeTempDir("streaming_journal");
+  FlowJournalPtr journal =
+      FlowJournal::Open(*dir, "streaming_test_flow", JournalSync::kNone)
+          .value();
+  EXPECT_TRUE(journal->RecordLoadBase(rows).ok());
+  return journal;
+}
+
 // A journaled load baseline above the target's row count (a truncated
 // target, or a stale baseline) must not hide rows: none of the target's
 // rows can be this flow's, so the sink skips nothing and loads everything.
@@ -582,12 +594,13 @@ TEST_P(LoadBaseAboveTargetTest, LoadsEveryRow) {
   const std::vector<Row> expected = RunPhased(source);
   ASSERT_FALSE(expected.empty());
   auto target = std::make_shared<MemTable>("tgt", BoundSchema());
+  std::string dir;
   ExecutionConfig config;
   config.streaming = GetParam();
-  config.resume.has_load_base = true;
-  config.resume.load_base_rows = 5;
+  config.journal = JournalWithLoadBase(5, &dir);
   const Result<RunMetrics> metrics =
       Executor::Run(MakeFlow(source, target), config);
+  std::filesystem::remove_all(dir);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
   EXPECT_EQ(metrics.value().rows_loaded, expected.size());
   EXPECT_EQ(target->ReadAll().value().rows(), expected);
@@ -635,12 +648,13 @@ TEST_P(LoadAccountingTest, RowsLoadedIsTargetGrowth) {
     auto target = std::make_shared<MemTable>("tgt", BoundSchema());
     const std::vector<Row> landed(expected.begin(), expected.begin() + 50);
     ASSERT_TRUE(target->Append(RowBatch(BoundSchema(), landed)).ok());
+    std::string dir;
     ExecutionConfig config;
     config.streaming = GetParam();
-    config.resume.has_load_base = true;
-    config.resume.load_base_rows = 0;
+    config.journal = JournalWithLoadBase(0, &dir);
     const Result<RunMetrics> metrics =
         Executor::Run(MakeFlow(source, target), config);
+    std::filesystem::remove_all(dir);
     ASSERT_TRUE(metrics.ok()) << metrics.status();
     EXPECT_EQ(target->ReadAll().value().rows(), expected);
     EXPECT_EQ(metrics.value().rows_loaded, expected.size() - 50);

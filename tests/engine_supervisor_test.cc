@@ -49,7 +49,7 @@ TEST_F(SupervisorTest, ConvergesWithoutCrashes) {
           "f",
           [](const FlowEnv& env) {
             QOX_RETURN_IF_ERROR(env.journal->RecordAttemptStart(
-                env.resume.prior_attempts + 1, false, -1));
+                env.journal->state().attempts_started + 1, false, -1));
             return env.journal->RecordFlowCommit();
           },
           options_)
@@ -71,7 +71,7 @@ TEST_F(SupervisorTest, RestartsAfterSigkillWithResumeState) {
             // The attempt budget must span incarnations: each child numbers
             // its attempt from the journal, not from 1.
             QOX_RETURN_IF_ERROR(env.journal->RecordAttemptStart(
-                env.resume.prior_attempts + 1, false, -1));
+                env.journal->state().attempts_started + 1, false, -1));
             if (env.incarnation == 1) Die();
             return env.journal->RecordFlowCommit();
           },

@@ -323,11 +323,6 @@ TEST_F(JournalTest, FlowJournalReopenReconstructsState) {
   EXPECT_EQ(state.rp_commits.at("cut2").rows, 80u);
   ASSERT_EQ(state.replay.count("op3:777:5"), 1u);
   EXPECT_TRUE(state.replay.at("op3:777:5").done);
-
-  const FlowResume resume = ResumeFromJournal(state);
-  EXPECT_EQ(resume.prior_attempts, 2u);
-  EXPECT_TRUE(resume.has_load_base);
-  EXPECT_EQ(resume.load_base_rows, 100u);
 }
 
 // Satellite: the torn-tail property. For EVERY byte-length prefix of the
@@ -396,9 +391,8 @@ TEST_F(JournalTest, CompactBeforeCommitPreservesResumeState) {
   EXPECT_EQ(state.attempts_started, 1u);
   ASSERT_EQ(state.rp_commits.count("cut1"), 1u);
   EXPECT_EQ(state.rp_commits.at("cut1").rows, 40u);
-  const FlowResume resume = ResumeFromJournal(state);
-  EXPECT_EQ(resume.prior_attempts, 1u);
-  EXPECT_EQ(resume.load_base_rows, 50u);
+  EXPECT_TRUE(state.has_load_base);
+  EXPECT_EQ(state.load_base_rows, 50u);
 }
 
 // ---------------------------------------------------------------------------
